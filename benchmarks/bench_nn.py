@@ -89,16 +89,16 @@ SMOKE_CONFIGS = {
 
 
 #: Frozen-encoder inference geometries: the tiny models the pipeline
-#: actually runs, at streaming batch sizes where dispatch overhead —
-#: not BLAS — dominates an eager pass.  (At large batches both paths
-#: are BLAS-bound and replay is throughput-neutral by construction.)
+#: actually runs.  Inference executes in small fixed row tiles
+#: (``repro.training.tiles``), where dispatch overhead — not BLAS —
+#: dominates an eager pass.
 INFER_CONFIGS = {
-    "moment-tiny": {"batch_size": 1, "seq_len": 32, "channels": 3, "samples": 32},
-    "vit-tiny": {"batch_size": 1, "seq_len": 32, "channels": 3, "samples": 32},
+    "moment-tiny": {"seq_len": 32, "channels": 3, "samples": 32},
+    "vit-tiny": {"seq_len": 32, "channels": 3, "samples": 32},
 }
 
 INFER_SMOKE_CONFIGS = {
-    "moment-tiny": {"batch_size": 1, "seq_len": 32, "channels": 2, "samples": 6},
+    "moment-tiny": {"seq_len": 32, "channels": 2, "samples": 6},
 }
 
 
@@ -200,19 +200,18 @@ def run_inference(
     model.freeze()
     rng = np.random.default_rng(0)
     x = rng.normal(size=(geometry["samples"], geometry["seq_len"], geometry["channels"]))
-    batch_size = geometry["batch_size"]
 
     # Warmup: pages buffers in; in compiled mode this also captures and
     # compiles the graph, so capture cost is excluded from throughput
-    # (it is paid once per shape bucket, not per pass).
-    embeddings = compute_embeddings(model, x, batch_size=batch_size, compiled=compiled)
+    # (it is paid once per tile geometry, not per pass).
+    embeddings = compute_embeddings(model, x, compiled=compiled)
     start = time.perf_counter()
     for _ in range(passes):
-        compute_embeddings(model, x, batch_size=batch_size, compiled=compiled)
+        compute_embeddings(model, x, compiled=compiled)
     wall = time.perf_counter() - start
 
     tracemalloc.start()
-    compute_embeddings(model, x, batch_size=batch_size, compiled=compiled)
+    compute_embeddings(model, x, compiled=compiled)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # Steady-state memory: traced per-pass allocations, plus (compiled

@@ -16,14 +16,18 @@
 #                   reference results with zero re-executed done jobs
 #                   (deterministic, well under a minute)
 #   7. serve smoke  registry round-trip + a seeded in-process request
-#                   burst (bit-identity + saturation errors), then the
-#                   micro-batching bench in --smoke mode (whose
-#                   streaming section also gates the O(changed
-#                   windows) re-encode economy)
+#                   burst (bit-identity + saturation errors), the
+#                   fixed-tile contract over offline batch sizes and
+#                   served max_batch, bad-request isolation and pool
+#                   backpressure, then the micro-batching bench in
+#                   --smoke mode (whose streaming section also gates
+#                   the O(changed windows) re-encode economy)
 #   8. stream smoke the streaming equivalence contract (sample-at-a-
-#                   time == offline bits, push-granularity invariance)
+#                   time == offline bits, push-granularity invariance),
+#                   the fixed-tile contract over stream batch sizes,
+#                   encode_long batch_windows and the fit-time fill,
 #                   plus the measured-vs-predicted peak-memory bound
-#                   for chunked long-series encoding (< 20 s)
+#                   for chunked long-series encoding (< 30 s)
 #
 # Usage: scripts/check.sh [extra pytest args...]
 #
@@ -83,18 +87,27 @@ python -m pytest "tests/exec/test_chaos.py::TestKillResumeConvergence::test_kill
 
 # Serving gate: the registry publish/load round-trip and a seeded
 # in-process request burst (concurrent submitters, micro-batch width,
-# served-bits == offline-bits, queue-full / deadline typed errors),
-# then the micro-batching bench's machinery tier.  All in-process and
-# seeded — well under 15 s.
-echo "== serve smoke (registry + request burst) =="
+# served-bits == offline-bits, queue-full / deadline typed errors), the
+# tile contract (served rows at any max_batch == offline rows at any
+# batch_size), one bad request never failing its co-batchees and the
+# one-batch-per-worker pool hand-off, then the micro-batching bench's
+# machinery tier.  Seeded; one spawned worker at most — under 30 s.
+echo "== serve smoke (registry + request burst + tile contract) =="
 python -m pytest tests/serve/test_registry.py::TestPublishLoad \
-                 tests/serve/test_serving.py -q
+                 tests/serve/test_serving.py \
+                 tests/serve/test_isolation.py \
+                 tests/properties/test_tile_contract.py::TestOfflineBatchSize \
+                 tests/properties/test_tile_contract.py::TestServedWidth -q
 python benchmarks/bench_serve.py --smoke
 
 # Streaming gate: the equivalence contract property (streamed bits ==
-# offline fixed-width bits, push granularity invisible) and the
-# cost-model peak-memory bound on a 100k-step chunked encode.
-echo "== stream smoke (parity + memory bound) =="
+# offline bits, push granularity invisible), the tile contract (stream
+# batch_size, encode_long batch_windows and the fit-time fill never
+# change a row) and the cost-model peak-memory bound on a 100k-step
+# chunked encode.
+echo "== stream smoke (parity + tile contract + memory bound) =="
 python -m pytest "tests/properties/test_stream_parity.py::TestStreamOfflineParity::test_sample_at_a_time_matches_offline_compiled" \
                  "tests/properties/test_stream_parity.py::TestChunkingInvariance::test_push_granularity_is_invisible" \
+                 tests/properties/test_tile_contract.py::TestStreamWidth \
+                 tests/properties/test_tile_contract.py::TestFitFill \
                  "tests/stream/test_memory_bound.py::test_peak_memory_within_cost_model_bound" -q

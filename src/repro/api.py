@@ -171,8 +171,8 @@ class FittedPipeline(NamedTuple):
         """An incremental :class:`~repro.stream.StreamingClassifier`.
 
         ``push(samples)`` classifies every window that completes, with
-        logits bit-identical to
-        ``predict_logits(windows, batch_size=batch_size)`` offline::
+        logits bit-identical to ``predict_logits(windows)`` offline at
+        any ``batch_size``::
 
             stream = fitted.stream(window=64, stride=16)
             for chunk in live_feed:
@@ -219,9 +219,7 @@ class FittedPipeline(NamedTuple):
             agg=agg,
             batch_windows=batch_windows,
             compiled=compiled,
-            transform=lambda wins: pipeline._normalize_array(
-                pipeline.adapter.transform(wins)
-            ),
+            transform=pipeline._reduce_tile,
             return_windows=return_windows,
         )
 

@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_cmd.add_argument(
         "--batch-size", type=int, default=16,
-        help="fixed execution width (the offline batch_size that reproduces "
-        "streamed logits bit-for-bit)",
+        help="accepted for compatibility; streamed logits equal offline "
+        "predict_logits at any batch size (execution is tiled)",
     )
     stream_cmd.add_argument("--seed", type=int, default=0, help="stream generator seed")
     stream_cmd.add_argument(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import threading
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +41,15 @@ __all__ = [
     "registered_op",
 ]
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread grad mode: a serving thread's ``no_grad`` block must not
+    switch recording off (or, on an interleaved exit, leave it off) for
+    a thread that is training."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 #: The active graph tracer installed by :mod:`repro.nn.graph` during a
 #: capture (one at a time, like the profiler's ``_ACTIVE``).  ``None``
@@ -133,18 +142,17 @@ def no_grad():
     Operations executed inside the block produce tensors detached from
     the autograd graph, which keeps evaluation passes cheap.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded for autograd."""
-    return _GRAD_ENABLED
+    """Return whether this thread currently records operations for autograd."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,7 +216,7 @@ class Tensor:
                 array = array.astype(get_default_dtype(), copy=False)
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._freed = False
@@ -288,7 +296,7 @@ class Tensor:
         profiler = _profiler._ACTIVE
         if profiler is not None:
             profiler.record_make(backward.__code__, data.nbytes)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=False)
         out.requires_grad = requires
         if requires:

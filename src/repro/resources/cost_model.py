@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..models.config import ModelConfig
+from ..training.tiles import TILE_ROWS
 
 __all__ = [
     "FineTuneRegime",
@@ -267,19 +268,21 @@ def streaming_inference_memory_bytes(
     """Predicted peak allocation of ``repro.stream.encode_long``.
 
     The streaming encoder's peak is independent of the series length:
-    only ``batch_windows`` windows are live at once, and the ``mean`` /
-    ``last`` aggregators fold into constant-size accumulators.  Three
-    terms:
+    only ``batch_windows`` windows are cut at once, the encoder
+    computes them one tile at a time (``ceil(batch_windows /
+    TILE_ROWS)`` tiles, see :mod:`repro.training.tiles`), and the
+    ``mean`` / ``last`` aggregators fold into constant-size
+    accumulators.  Three terms:
 
-    * encoder activations — the dominant term.  Long-context encoding
-      runs each batch through *graph capture* once per shape bucket,
-      and capture retains the full intermediate-tensor tape, so the
-      multiplier is the calibrated
+    * encoder activations — the dominant term, for the one live tile
+      of ``TILE_ROWS`` windows.  Long-context encoding runs the first
+      tile through *graph capture*, and capture retains the full
+      intermediate-tensor tape, so the multiplier is the calibrated
       ``streaming_capture_multiplier_per_layer x num_layers`` rather
       than the steady-state ``inference_activation_multiplier``;
-    * window staging — the fancy-index window copy, its padded
-      concatenation and the float32 cast inside the encoder (three
-      transient copies of one ``(batch_windows, window, D)`` batch);
+    * window staging — the fancy-index copy of ``batch_windows``
+      windows, plus the zero-padded last tile and the float32 cast
+      inside the encoder (two tile-sized transient copies);
     * aggregation state — O(1) for ``mean``/``last``; ``attention``
       retains all ``num_windows`` embeddings and scales with the
       series.
@@ -289,12 +292,12 @@ def streaming_inference_memory_bytes(
     """
     params = FAMILY_PARAMS[config.family]
     tokens_per_channel = config.tokens_per_channel(config.max_sequence_length)
-    chunk_tokens = batch_windows * min(channels, 64) * tokens_per_channel
+    chunk_tokens = TILE_ROWS * min(channels, 64) * tokens_per_channel
     capture_multiplier = (
         params.streaming_capture_multiplier_per_layer * config.num_layers
     )
     activations = chunk_tokens * config.d_model * capture_multiplier * FLOAT_BYTES
-    staging = 3.0 * batch_windows * window * channels * input_dtype_bytes
+    staging = (batch_windows + 2.0 * TILE_ROWS) * window * channels * input_dtype_bytes
     if agg == "attention":
         aggregation = num_windows * config.d_model * FLOAT_BYTES
     else:

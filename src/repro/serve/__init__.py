@@ -24,14 +24,15 @@ subsystem makes it *servable*.  Four parts:
   crashed-worker resubmission.
 
 Responses are bit-identical to offline
-:meth:`~repro.training.AdapterPipeline.predict_logits` because both
-paths execute fixed-width zero-padded batches — see
-``docs/serve.md``.
+:meth:`~repro.training.AdapterPipeline.predict_logits` at any
+``batch_size`` because both paths run the same fixed-tile execution
+(:mod:`repro.training.tiles`) — see ``docs/serve.md``.
 """
 
 from .batching import MicroBatcher, ServeConfig, ServeFuture
 from .errors import (
     DeadlineExceededError,
+    InvalidRequestError,
     PipelineNotFoundError,
     QueueFullError,
     RegistryIntegrityError,
@@ -51,6 +52,7 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "ServerClosedError",
+    "InvalidRequestError",
     "PipelineRecord",
     "PipelineRegistry",
     "ServeConfig",

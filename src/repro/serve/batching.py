@@ -16,10 +16,13 @@ arrived, whichever comes first.  Saturation behaviour is explicit:
 The batcher is transport-agnostic: a ``dispatch`` callable receives
 each formed batch (a list of :class:`_Request`) and is responsible for
 resolving the requests' futures — synchronously for in-process
-serving, or by handing the batch to a worker pool.  Padding every
-batch to one fixed width happens *downstream* (see
-``AdapterPipeline._predict_chunk``), which is what makes responses
-bit-identical regardless of how requests were coalesced.
+serving, or by handing the batch to a worker pool.  An optional
+``ready`` callable holds batch formation back until the dispatcher can
+take a batch at once, so requests wait in the bounded queue (where
+shedding and deadlines apply) rather than downstream.  Execution runs
+in fixed row tiles *downstream* (see :mod:`repro.training.tiles`),
+which is what makes responses bit-identical regardless of how
+requests were coalesced.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ class ServeConfig:
     Parameters
     ----------
     max_batch:
-        Micro-batch width cap — and the *fixed* execution width every
-        batch is padded to, so it doubles as the offline
-        ``batch_size`` that reproduces served logits bit-for-bit.
+        Micro-batch width cap (how many requests one dispatch
+        coalesces).  Execution is tiled, so it never changes the bits:
+        served logits equal offline ``predict_logits(x)`` at any
+        ``batch_size``.
     max_delay_s:
         Longest a request may wait for co-batchees before its batch is
         dispatched anyway.  ``0`` disables coalescing delay (batches
@@ -172,11 +176,19 @@ class MicroBatcher:
         :func:`resolve_batch` for synchronous execution, or by handing
         the batch to a pool whose collector resolves them.  An
         exception escaping ``dispatch`` fails the whole batch.
+    ready:
+        Optional ``ready(timeout) -> bool``: True once ``dispatch``
+        would take a batch without blocking.  The batcher forms the
+        next batch only then, so requests queue here — subject to
+        queue-full shedding and deadlines — while the dispatcher is
+        busy, and each batch takes every request waiting (up to
+        ``max_batch``).
     """
 
-    def __init__(self, config: ServeConfig, dispatch) -> None:
+    def __init__(self, config: ServeConfig, dispatch, ready=None) -> None:
         self.config = config
         self._dispatch = dispatch
+        self._ready = ready
         self._queue: deque[_Request] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -238,6 +250,10 @@ class MicroBatcher:
                 self._cond.wait(remaining)
             now = time.monotonic()
             batch: list[_Request] = []
+            # Requests of another shape than the batch's first cannot
+            # share its array: they stay queued, in order, for a later
+            # batch.
+            other_shapes: list[_Request] = []
             while self._queue and len(batch) < self.config.max_batch:
                 request = self._queue.popleft()
                 future = request.future
@@ -250,17 +266,31 @@ class MicroBatcher:
                         ),
                     )
                     continue
+                if batch and request.x.shape != batch[0].x.shape:
+                    other_shapes.append(request)
+                    continue
                 wait = now - future.enqueued_at
                 self._stats.queue_wait_total_s += wait
                 self._stats.queue_wait_max_s = max(self._stats.queue_wait_max_s, wait)
                 batch.append(request)
+            self._queue.extendleft(reversed(other_shapes))
             if batch:
                 self._stats.batches += 1
                 self._stats.width_hist[len(batch)] += 1
             return batch
 
+    def _wait_ready(self) -> bool:
+        """Block until the dispatcher is ready; False once closed and empty."""
+        while not self._ready(0.1):
+            with self._cond:
+                if self._closed and not self._queue:
+                    return False
+        return True
+
     def _run(self) -> None:
         while True:
+            if self._ready is not None and not self._wait_ready():
+                return
             batch = self._collect()
             if batch is None:
                 return
@@ -359,18 +389,26 @@ def resolve_batch(batch: list[_Request], compute) -> None:
 
     ``compute`` maps the stacked ``(k, T, D)`` array to ``(k,
     n_classes)`` logits; each request gets its own row (a copy, so no
-    future holds the whole batch alive).  Errors fail every request in
-    the batch with a typed :class:`ServeError`.
+    future holds the whole batch alive).  The batcher only coalesces
+    requests of one shape, so the batch always stacks.  A batch that
+    fails to compute is re-run request by request, so one bad request
+    never fails its co-batchees — and since execution is tiled, a
+    request run alone gets the same bits it would have got in the
+    batch.  A request that fails on its own gets a typed
+    :class:`ServeError`.
     """
     stacked = np.stack([request.x for request in batch], axis=0)
     try:
         logits = compute(stacked)
-    except BaseException as exc:  # noqa: BLE001 — surface as typed per-request errors
+    except Exception as exc:  # noqa: BLE001 — surface as typed per-request errors
+        if len(batch) > 1:
+            for request in batch:
+                resolve_batch([request], compute)
+            return
         error = exc if isinstance(exc, ServeError) else ServeError(
-            f"batch execution failed: {type(exc).__name__}: {exc}"
+            f"request failed: {type(exc).__name__}: {exc}"
         )
-        for request in batch:
-            request.future._finish(None, error)
+        batch[0].future._finish(None, error)
         return
     for row, request in enumerate(batch):
         request.future._finish(np.array(logits[row], copy=True), None)

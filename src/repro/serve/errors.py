@@ -3,9 +3,9 @@
 Every failure mode a caller can act on gets its own class, so clients
 distinguish "back off" (:class:`QueueFullError`), "you waited too
 long" (:class:`DeadlineExceededError`), "redeploy"
-(:class:`PipelineNotFoundError` / :class:`RegistryIntegrityError`) and
-"the server is gone" (:class:`ServerClosedError`) without string
-matching.
+(:class:`PipelineNotFoundError` / :class:`RegistryIntegrityError`),
+"fix your input" (:class:`InvalidRequestError`) and "the server is
+gone" (:class:`ServerClosedError`) without string matching.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "ServerClosedError",
+    "InvalidRequestError",
 ]
 
 
@@ -52,3 +53,10 @@ class DeadlineExceededError(ServeError):
 
 class ServerClosedError(ServeError):
     """The server is draining or closed; no new work is accepted."""
+
+
+class InvalidRequestError(ServeError, ValueError):
+    """Request rejected at submit: wrong rank, wrong channel count, an
+    empty series or non-finite values.  It was never enqueued, so it
+    cannot affect any other request.
+    """

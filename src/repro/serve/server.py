@@ -4,11 +4,11 @@ A :class:`PipelineServer` binds one published deployment (name +
 version) to a :class:`~repro.serve.batching.MicroBatcher` and either
 an in-process executor (``workers=0``) or a
 :class:`~repro.serve.workers.ServePool` fleet.  Every micro-batch runs
-at the fixed width ``config.max_batch`` through
-``AdapterPipeline._predict_chunk``, so a served logits row is
-bit-identical to ``pipeline.predict_logits(x,
-batch_size=config.max_batch)`` offline — regardless of which requests
-happened to share the batch.
+through the pipeline's fixed-tile runner
+(``AdapterPipeline._predict_chunk``), so a served logits row is a pure
+function of (series, ``TILE_ROWS``): bit-identical to
+``pipeline.predict_logits(x)`` offline at any ``batch_size``,
+whatever ``max_batch`` is and whichever requests shared the batch.
 
 Observability: per-phase span seconds (adapter / encode / head) via
 :class:`repro.runtime.Instrumentation`, plus the batcher's queue-wait,
@@ -24,13 +24,12 @@ import numpy as np
 
 from ..runtime import ArtifactStore, Instrumentation
 from .batching import MicroBatcher, ServeConfig, ServeFuture, resolve_batch
-from .errors import ServerClosedError
+from .errors import InvalidRequestError, ServerClosedError
 from .registry import PipelineRegistry
 from .sessions import StreamSession
 from .workers import ServePool
 
 __all__ = ["PipelineServer"]
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -80,15 +79,14 @@ class PipelineServer:
                 str(cache_dir),
                 self.record.name,
                 self.record.version,
-                width=self.config.max_batch,
                 compiled=self.config.compiled,
                 workers=self.config.workers,
             )
-            dispatch = self._pool.dispatch
+            dispatch, ready = self._pool.dispatch, self._pool.wait_idle
         else:
             self._pipeline = registry.load(self.record.name, self.record.version)
-            dispatch = self._dispatch_inline
-        self._batcher = MicroBatcher(self.config, dispatch)
+            dispatch, ready = self._dispatch_inline, None
+        self._batcher = MicroBatcher(self.config, dispatch, ready=ready)
         if self._pool is not None:
             self._pool.on_result = self._batcher.record_latency
         self._streams: dict[int, StreamSession] = {}
@@ -107,7 +105,6 @@ class PipelineServer:
     def _compute(self, stacked: np.ndarray) -> np.ndarray:
         return self._pipeline._predict_chunk(
             stacked,
-            self.config.max_batch,
             compiled=self.config.compiled,
             inst=self._inst,
             use_store=False,
@@ -119,17 +116,28 @@ class PipelineServer:
     def submit(self, x: np.ndarray, deadline_s: float | None = None) -> ServeFuture:
         """Enqueue one (T, D) series; returns its logits future.
 
-        Raises :class:`QueueFullError` when saturated and
+        Raises :class:`InvalidRequestError` for a series that is not
+        one non-empty, finite ``(T, D)`` array with this deployment's
+        channel count, :class:`QueueFullError` when saturated and
         :class:`ServerClosedError` after :meth:`close`.
         """
         if self._closed:
             raise ServerClosedError("server is closed")
         x = np.asarray(x)
         if x.ndim != 2:
-            raise ValueError(
+            raise InvalidRequestError(
                 f"submit takes one (T, D) series, got shape {x.shape}; "
                 "use predict_logits for (N, T, D) arrays"
             )
+        if x.shape[1] != self.input_channels:
+            raise InvalidRequestError(
+                f"deployment {self.record.ref} takes D={self.input_channels} "
+                f"channels, got D={x.shape[1]}"
+            )
+        if x.shape[0] == 0:
+            raise InvalidRequestError("submit takes a non-empty series, got T=0")
+        if x.dtype.kind not in "biuf" or not np.isfinite(x).all():
+            raise InvalidRequestError("series holds non-finite or non-numeric values")
         return self._batcher.submit(x, deadline_s=deadline_s)
 
     def predict_logits(
@@ -202,15 +210,15 @@ class PipelineServer:
         return int(self.record.manifest.get("adapter", {}).get("input_channels") or 1)
 
     def warmup(self, length: int, channels: int | None = None) -> None:
-        """Prime compiled graphs with zero batches of the serving shape.
+        """Prime compiled graphs with a zero series of the serving shape.
 
-        In-process mode runs one fixed-width batch directly; pool mode
-        pushes one dummy batch per worker through the fleet.  Without
-        warmup the first real requests pay eager capture cost.
+        In-process mode runs one tile directly; pool mode pushes one
+        dummy request per worker through the fleet.  Without warmup the
+        first real requests pay eager capture cost.
         """
         if channels is None:
             channels = self.input_channels
-        zeros = np.zeros((self.config.max_batch, int(length), int(channels)))
+        zeros = np.zeros((1, int(length), int(channels)))
         if self._pool is None:
             self._compute(zeros)
             return

@@ -42,9 +42,10 @@ class ServeClient:
 
     Mirrors the offline :class:`~repro.training.AdapterPipeline`
     surface (``predict`` / ``predict_proba`` / ``predict_logits`` with
-    ``batch_size`` / ``compiled`` kwargs) — but batching policy is
-    pinned by the server, so passing a conflicting value is an error
-    rather than a silent override.
+    ``batch_size`` / ``compiled`` kwargs).  Execution is tiled, so any
+    ``batch_size`` yields the same bits and is accepted as is; the
+    server pins ``compiled``, so a conflicting value is an error rather
+    than a silent override.
     """
 
     def __init__(self, server: PipelineServer) -> None:
@@ -56,12 +57,8 @@ class ServeClient:
 
     def _check_kwargs(self, batch_size: int | None, compiled: bool | None) -> None:
         config = self._server.config
-        if batch_size is not None and batch_size != config.max_batch:
-            raise ValueError(
-                f"this deployment executes at batch_size={config.max_batch} "
-                f"(its max_batch); got batch_size={batch_size}.  Reproduce its "
-                f"outputs offline with predict_logits(x, batch_size={config.max_batch})"
-            )
+        if batch_size is not None and batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         if compiled is not None and compiled != config.compiled:
             raise ValueError(
                 f"this deployment is pinned to compiled={config.compiled}; "
@@ -75,7 +72,7 @@ class ServeClient:
         compiled: bool | None = None,
         deadline_s: float | None = None,
     ) -> np.ndarray:
-        """Raw logits via the server (kwargs must match its pinned policy)."""
+        """Raw logits via the server (``compiled`` must match its pinned policy)."""
         self._check_kwargs(batch_size, compiled)
         return self._server.predict_logits(x, deadline_s=deadline_s)
 
@@ -86,7 +83,7 @@ class ServeClient:
         compiled: bool | None = None,
         deadline_s: float | None = None,
     ) -> np.ndarray:
-        """Predicted label(s) via the server (kwargs must match its pinned policy)."""
+        """Predicted label(s) via the server (``compiled`` must match its policy)."""
         self._check_kwargs(batch_size, compiled)
         return self._server.predict(x, deadline_s=deadline_s)
 
@@ -97,7 +94,7 @@ class ServeClient:
         compiled: bool | None = None,
         deadline_s: float | None = None,
     ) -> np.ndarray:
-        """Class probabilities via the server (kwargs must match its pinned policy)."""
+        """Class probabilities via the server (``compiled`` must match its policy)."""
         self._check_kwargs(batch_size, compiled)
         return self._server.predict_proba(x, deadline_s=deadline_s)
 

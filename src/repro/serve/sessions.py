@@ -9,9 +9,9 @@ design decision buys everything the serving layer already guarantees:
 
 * windows from *different* sessions coalesce into shared micro-batches
   (cross-session batching needs no new machinery);
-* every window executes at the server's fixed ``max_batch`` width, so
-  a streamed prediction is bit-identical to
-  ``pipeline.predict_logits(window, batch_size=max_batch)`` offline
+* every window runs through the pipeline's fixed-tile runner, so a
+  streamed prediction is bit-identical to
+  ``pipeline.predict_logits(window)`` offline at any ``batch_size``
   and to a serial replay of the same stream;
 * a worker killed mid-stream is handled by the pool's
   resubmit-and-respawn path — the session just sees its futures

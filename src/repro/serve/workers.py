@@ -9,14 +9,20 @@ stream of micro-batches.
 
 Each worker loads the deployed pipeline from the shared disk-backed
 registry in its initializer, then answers ``(k, T, D)`` batch arrays
-with ``(k, n_classes)`` logits.  Every batch runs at the pool's fixed
-execution width (padded inside ``_predict_chunk``), so worker
-responses are bit-identical to in-process and offline prediction.
+with ``(k, n_classes)`` logits.  Every batch runs through the
+pipeline's fixed-tile runner (``_predict_chunk``), so worker responses
+are bit-identical to in-process and offline prediction.
+
+Hand-off is direct and backpressured: :meth:`ServePool.dispatch` puts
+each batch straight onto an idle ready worker's task queue and blocks
+while none is idle, so the pool holds at most one batch per worker and
+requests wait in the batcher's bounded queue, where shedding and
+deadlines apply.
 
 Fault handling: a crashed worker's in-flight batch is *resubmitted*
-(prediction is idempotent) and a replacement worker is spawned; only a
-pool whose every worker fails initialisation becomes ``broken`` and
-fails requests.
+(prediction is idempotent) ahead of new batches and a replacement
+worker is spawned; only a pool whose every worker fails
+initialisation becomes ``broken`` and fails requests.
 """
 
 from __future__ import annotations
@@ -42,18 +48,14 @@ _POLL_S = 0.02
 # Worker-process side (module level: importable under spawn)
 # ----------------------------------------------------------------------
 _SERVE_PIPELINE = None
-_SERVE_WIDTH = 0
 _SERVE_COMPILED = True
 
 
-def _serve_worker_init(
-    cache_dir: str, name: str, version: int, width: int, compiled: bool
-) -> None:
-    global _SERVE_PIPELINE, _SERVE_WIDTH, _SERVE_COMPILED
+def _serve_worker_init(cache_dir: str, name: str, version: int, compiled: bool) -> None:
+    global _SERVE_PIPELINE, _SERVE_COMPILED
     from .registry import PipelineRegistry
 
     _SERVE_PIPELINE = PipelineRegistry(cache_dir).load(name, version=version)
-    _SERVE_WIDTH = int(width)
     _SERVE_COMPILED = bool(compiled)
 
 
@@ -64,7 +66,7 @@ def _serve_predict(batch: np.ndarray) -> np.ndarray:
     # this worker at a chosen batch; the pool resubmits and respawns.
     chaos_point("serve.predict", rows=len(batch))
     return _SERVE_PIPELINE._predict_chunk(
-        np.asarray(batch), _SERVE_WIDTH, compiled=_SERVE_COMPILED, use_store=False
+        np.asarray(batch), compiled=_SERVE_COMPILED, use_store=False
     )
 
 
@@ -92,9 +94,8 @@ class ServePool:
         memory-only registry cannot back a pool).
     name / version:
         The deployment each worker loads at startup.
-    width / compiled:
-        Fixed execution width (== the server's ``max_batch``) and
-        graph-replay flag, forwarded to every worker.
+    compiled:
+        Graph-replay flag, forwarded to every worker.
     workers:
         Fleet size (>= 1).
     """
@@ -105,17 +106,18 @@ class ServePool:
         name: str,
         version: int,
         *,
-        width: int,
         compiled: bool = True,
         workers: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("ServePool needs at least one worker")
-        self._initargs = (str(cache_dir), name, int(version), int(width), bool(compiled))
+        self._initargs = (str(cache_dir), name, int(version), bool(compiled))
         self.workers = int(workers)
         self._ctx = mp.get_context("spawn")
         self._lock = threading.Condition()
         self._fleet: dict[int, _PoolWorker] = {}
+        #: Batches waiting for a worker: only resubmissions (a crashed
+        #: worker's in-flight batch), which go ahead of new batches.
         self._pending: deque[list[_Request]] = deque()
         self._closed = False
         self._broken = False
@@ -163,19 +165,43 @@ class ServePool:
     # Batcher-facing API
     # ------------------------------------------------------------------
     def dispatch(self, batch: list[_Request]) -> None:
-        """Hand one micro-batch to the fleet (non-blocking).
+        """Hand one micro-batch straight to an idle ready worker.
 
-        Called on the batcher thread; the management thread assigns it
-        to the next idle worker and resolves the futures when the
-        result lands.
+        Called on the batcher thread; blocks while every worker is busy
+        or a resubmitted batch is waiting.  The management thread
+        resolves the futures when the result lands.
         """
+        stacked = np.stack([request.x for request in batch], axis=0)
         with self._lock:
+            self._lock.wait_for(self._dispatchable_locked)
             if self._closed or self._broken:
                 raise ServerClosedError(
                     "serving pool is broken" if self._broken else "serving pool closed"
                 )
-            self._pending.append(batch)
-            self._lock.notify_all()
+            worker = self._idle_locked()
+            worker.task_q.put((0, stacked))
+            worker.batch = batch
+
+    def wait_idle(self, timeout: float | None = None) -> bool:
+        """Block until :meth:`dispatch` would not block; False on timeout.
+
+        The batcher's ``ready`` hook: it forms the next batch only once
+        a worker can take it.  A closed or broken pool counts as ready
+        (its ``dispatch`` fails fast).
+        """
+        with self._lock:
+            return self._lock.wait_for(self._dispatchable_locked, timeout)
+
+    def _idle_locked(self) -> _PoolWorker | None:
+        for worker in self._fleet.values():
+            if worker.ready and worker.batch is None:
+                return worker
+        return None
+
+    def _dispatchable_locked(self) -> bool:
+        if self._closed or self._broken:
+            return True
+        return not self._pending and self._idle_locked() is not None
 
     def inflight(self) -> int:
         """Batches dispatched to workers plus batches still pending."""
@@ -210,21 +236,16 @@ class ServePool:
                 # Keep the fleet at strength (respawn crash losses).
                 while not self._closed and len(self._fleet) < self.workers:
                     self._spawn_locked()
-                # Assign pending batches to ready idle workers.
-                for worker in self._fleet.values():
-                    if not self._pending:
-                        break
-                    if not worker.ready or worker.batch is not None:
-                        continue
+                # Resubmitted batches go to the next idle worker first.
+                while self._pending and (worker := self._idle_locked()) is not None:
                     batch = self._pending.popleft()
-                    worker.batch = batch
                     try:
-                        worker.task_q.put(
-                            (0, np.stack([request.x for request in batch], axis=0))
-                        )
-                    except Exception:
-                        worker.batch = None
-                        self._pending.appendleft(batch)
+                        worker.task_q.put((0, np.stack([r.x for r in batch], axis=0)))
+                        worker.batch = batch
+                    except Exception as exc:  # noqa: BLE001 — fail it, never requeue
+                        error = ServeError(f"batch hand-off failed: {exc}")
+                        for request in batch:
+                            request.future._finish(None, error)
                 conns = [w.conn for w in self._fleet.values()]
             readable = mp_connection.wait(conns, timeout=_POLL_S) if conns else []
             if not conns:
@@ -234,6 +255,7 @@ class ServePool:
                     if worker.conn in readable:
                         self._drain_worker_locked(worker_id, worker)
                 self._reap_locked()
+                self._lock.notify_all()
 
     def _drain_worker_locked(self, worker_id: int, worker: _PoolWorker) -> None:
         while True:
@@ -263,10 +285,14 @@ class ServePool:
             else:  # "error" — the job raised; prediction errors are permanent
                 batch, worker.batch = worker.batch, None
                 error_text = value[0] if isinstance(value, tuple) else str(value)
-                if batch is not None:
-                    error = ServeError(f"worker predict failed: {error_text}")
-                    for request in batch:
-                        request.future._finish(None, error)
+                if batch is not None and len(batch) > 1:
+                    # Re-run request by request: one bad request must not
+                    # fail its co-batchees.
+                    self._pending.extend([request] for request in batch)
+                elif batch is not None:
+                    batch[0].future._finish(
+                        None, ServeError(f"worker predict failed: {error_text}")
+                    )
 
     def _reap_locked(self) -> None:
         for worker_id, worker in list(self._fleet.items()):

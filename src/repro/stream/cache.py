@@ -5,7 +5,7 @@ overlapping history on every push, but a window whose *content* has
 not changed must never be re-encoded.  Like
 :class:`repro.training.EmbeddingCache` (whose keying scheme this
 reuses — :func:`repro.runtime.embedding_key` over model weights,
-fitted adapter, data content and batch geometry), entries are keyed
+fitted adapter, data content and execution tile), entries are keyed
 purely by content fingerprints, so
 
 * pushing more samples never invalidates old windows (their content
@@ -27,6 +27,7 @@ import numpy as np
 
 from ..runtime import ArtifactStore, embedding_key, fingerprint_array
 from ..training.embedding_cache import compute_embeddings
+from ..training.tiles import TILE_ROWS
 
 __all__ = ["WindowEmbeddingCache"]
 
@@ -38,15 +39,10 @@ class WindowEmbeddingCache:
     ----------
     pipeline:
         A fitted :class:`~repro.training.AdapterPipeline`; windows run
-        adapter -> normalise -> frozen encoder exactly like its
-        offline prediction path.
-    width:
-        Fixed execution width: every window is zero-padded to a
-        ``(width, window, D)`` batch before the adapter/encoder, so a
-        cached embedding is bit-identical to the corresponding row of
-        ``pipeline.predict_logits(windows, batch_size=width)`` — the
-        equivalence contract's linchpin (BLAS row bits depend on batch
-        width, not on row position; see ``AdapterPipeline._predict_chunk``).
+        adapter -> normalise -> frozen encoder through its tile runner,
+        so a cached embedding is the same bits the pipeline's offline
+        prediction computes for that window (see
+        :mod:`repro.training.tiles`).
     capacity:
         LRU bound of the default memory-only store (ignored when an
         explicit ``store`` is passed).
@@ -60,15 +56,11 @@ class WindowEmbeddingCache:
     def __init__(
         self,
         pipeline,
-        width: int = 16,
         capacity: int = 512,
         store: ArtifactStore | None = None,
         compiled: bool = True,
     ) -> None:
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
         self.pipeline = pipeline
-        self.width = int(width)
         self.compiled = bool(compiled)
         self.store = (
             store if store is not None else ArtifactStore(max_memory_entries=capacity)
@@ -93,15 +85,14 @@ class WindowEmbeddingCache:
         from ..runtime import fingerprint_adapter, fingerprint_model
 
         self._model_fp = fingerprint_model(self.pipeline.model)
-        # "stream:" marks the padded single-window batch semantics so a
-        # shared store never confuses these entries with full-dataset
-        # EmbeddingCache matrices.
+        # "stream:" marks single-window entries so a shared store never
+        # confuses them with full-dataset EmbeddingCache matrices.
         self._adapter_fp = "stream:" + fingerprint_adapter(self.pipeline.adapter)
 
     def key_for(self, window: np.ndarray) -> str:
         """The store key this raw window's embedding lives under."""
         return embedding_key(
-            self._model_fp, self._adapter_fp, fingerprint_array(window), self.width
+            self._model_fp, self._adapter_fp, fingerprint_array(window), TILE_ROWS
         )
 
     # ------------------------------------------------------------------
@@ -118,16 +109,12 @@ class WindowEmbeddingCache:
         return embedding
 
     def _compute(self, window: np.ndarray) -> np.ndarray:
-        """Encode one window at the fixed width (row 0 of a padded batch)."""
+        """Encode one window: a single tile of the pipeline's runner."""
         pipeline = self.pipeline
-        batch = np.zeros((self.width, *window.shape), dtype=window.dtype)
-        batch[0] = window
-        reduced = pipeline._normalize_array(pipeline.adapter.transform(batch))
-        embeddings = compute_embeddings(
-            pipeline.model, reduced, batch_size=self.width, compiled=self.compiled
-        )
+        reduced = pipeline._reduce(window[None])
+        embedding = compute_embeddings(pipeline.model, reduced, compiled=self.compiled)
         self.encoded_windows += 1
-        return embeddings[0].copy()
+        return embedding[0].copy()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

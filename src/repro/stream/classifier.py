@@ -11,12 +11,12 @@ The equivalence contract (property-tested in
 ``tests/properties/test_stream_parity.py``): feeding a series through
 ``push`` — one sample at a time, in chunks of any size, or all at once
 — produces logits **bit-identical** to the offline
-``pipeline.predict_logits(windows, batch_size=width)`` on the same
-windows, in both eager and compiled execution.  The mechanism is the
-fixed-width padded execution invariant established by the serving
-layer: every window runs in a zero-padded batch of exactly ``width``
-samples, and BLAS row bits depend on the batch width, not on row
-position or co-batch content (see ``AdapterPipeline._predict_chunk``).
+``pipeline.predict_logits(windows)`` on the same windows, at any
+``batch_size`` and in both eager and compiled execution.  The
+mechanism is fixed-tile execution (:mod:`repro.training.tiles`):
+every window runs through the pipeline's tile runner, and a sample's
+bits depend only on the tile width, not on row position or co-tile
+content.
 
 ``partial_fit`` closes the loop on labeled feedback: a cheap head-only
 SGD step on the cached window embedding (embeddings stay valid), or a
@@ -68,8 +68,8 @@ class StreamingClassifier:
         Window ``w`` covers absolute samples ``[w*stride, w*stride +
         window)``.
     batch_size:
-        Fixed execution width.  Streaming logits are bit-identical to
-        ``pipeline.predict_logits(windows, batch_size=batch_size)``.
+        Accepted for compatibility and reported by :meth:`stats`; each
+        window runs as one tile, so it changes neither bits nor cost.
     compiled:
         Route encoder passes through compiled graph replay.
     cache_capacity / store:
@@ -104,7 +104,6 @@ class StreamingClassifier:
         self.compiled = bool(compiled)
         self.cache = WindowEmbeddingCache(
             pipeline,
-            width=self.batch_size,
             capacity=cache_capacity,
             store=store,
             compiled=compiled,
@@ -169,7 +168,7 @@ class StreamingClassifier:
                 self._buffer[offset : offset + self.window], copy=True
             )
             embedding = self.cache.embedding(raw)
-            logits = self._head_logits(embedding)
+            logits = self.pipeline._head_logits(embedding[None])[0]
             shifted = logits - logits.max()
             exp = np.exp(shifted)
             prediction = StreamPrediction(
@@ -195,16 +194,6 @@ class StreamingClassifier:
         if drop > 0:
             self._buffer = np.array(self._buffer[drop:], copy=True)
             self._buffer_start = self._next_start
-
-    def _head_logits(self, embedding: np.ndarray) -> np.ndarray:
-        """Head logits of one embedding, at the fixed execution width."""
-        padded = np.zeros(
-            (self.batch_size, embedding.shape[0]), dtype=embedding.dtype
-        )
-        padded[0] = embedding
-        with nn.no_grad():
-            logits = self.pipeline.head(nn.Tensor(padded)).data
-        return logits[0].copy()
 
     def _remember_feedback(
         self, index: int, embedding: np.ndarray, raw: np.ndarray

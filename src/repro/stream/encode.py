@@ -8,11 +8,11 @@ folding, compiled :class:`~repro.nn.graph.GraphCache` replay) and
 aggregating the per-window embeddings.
 
 Memory discipline is the point: only ``batch_windows`` windows are
-ever materialised at once, every batch is padded to exactly
-``batch_windows`` so the whole pass shares **one** compiled graph
-bucket, and the ``mean`` / ``last`` aggregators fold embeddings into
-constant-size accumulators instead of retaining the full
-``num_windows x embed_dim`` matrix.  The resulting peak footprint is
+ever materialised at once, the encoder runs them in fixed row tiles
+(:mod:`repro.training.tiles`) so the whole pass shares **one**
+compiled graph bucket, and the ``mean`` / ``last`` aggregators fold
+embeddings into constant-size accumulators instead of retaining the
+full ``num_windows x embed_dim`` matrix.  The resulting peak footprint is
 predicted by
 :func:`repro.resources.cost_model.streaming_inference_memory_bytes`
 and pinned by a measured-vs-predicted test.
@@ -25,6 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..models.base import FoundationModel
+from ..training.embedding_cache import compute_embeddings
+from ..training.tiles import map_tiles
 from .windows import validate_geometry, window_batch, window_starts
 
 __all__ = ["AGGREGATIONS", "LongSeriesEncoding", "encode_long"]
@@ -99,23 +101,20 @@ def encode_long(
         recent window's embedding) or ``"attention"``
         (mean-embedding-queried attention pool, order-invariant).
     batch_windows:
-        Windows per encoder pass — the peak-memory knob.  Every batch
-        (including the final partial one) is zero-padded to exactly
-        this many windows, so the whole series replays **one**
-        compiled graph bucket and per-window embeddings do not depend
-        on where batch boundaries fell.
+        Windows cut from the series per step — the staging-memory
+        knob.  The encoder runs each step's windows tile by tile, so
+        the whole series replays **one** compiled graph bucket and
+        per-window embeddings do not depend on this value.
     compiled:
         Route encoder passes through compiled graph replay
         (bit-identical to eager either way).
     transform:
-        Optional per-batch preprocessing applied to each
-        ``(b, window, D)`` window batch before encoding — the hook the
-        pipeline surface uses to run its adapter + normalisation.
+        Optional preprocessing applied to each ``(TILE_ROWS, window,
+        D)`` tile of windows before encoding — the hook the pipeline
+        surface uses to run its adapter + normalisation.
     return_windows:
         Also retain the full ``(num_windows, embed_dim)`` matrix.
     """
-    from ..training.embedding_cache import compute_embeddings
-
     window, stride = validate_geometry(window, stride)
     if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
@@ -135,15 +134,9 @@ def encode_long(
         batch_starts = starts[lo : lo + batch_windows]
         wins = window_batch(x, batch_starts, window)  # (b, window, D)
         if transform is not None:
-            wins = transform(wins)
-        b = len(batch_starts)
-        if b < batch_windows:
-            pad = np.zeros((batch_windows - b, *wins.shape[1:]), dtype=wins.dtype)
-            wins = np.concatenate([wins, pad], axis=0)
-        embeddings = compute_embeddings(
-            model, wins, batch_size=batch_windows, compiled=compiled
-        )[:b]
-        count += b
+            wins = map_tiles(transform, wins)
+        embeddings = compute_embeddings(model, wins, compiled=compiled)
+        count += len(batch_starts)
         last = embeddings[-1].copy()
         if keep_all:
             collected.append(embeddings)

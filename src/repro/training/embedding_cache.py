@@ -10,7 +10,7 @@ times.
 Since the ``repro.runtime`` refactor the cache is a thin facade over
 :class:`repro.runtime.ArtifactStore`, keyed by **content**
 (model-weight fingerprint, adapter fingerprint, data fingerprint,
-batch geometry) rather than ``id(array)``.  That fixes two latent
+execution tile) rather than ``id(array)``.  That fixes two latent
 bugs of the identity-keyed version: a garbage-collected array's ``id``
 could be recycled by a brand-new array (silently returning stale
 embeddings), and in-place mutation of a cached array was invisible.
@@ -27,6 +27,7 @@ import numpy as np
 from .. import nn
 from ..models.base import FoundationModel
 from ..runtime import ArtifactStore, embedding_key, fingerprint_array, fingerprint_model
+from .tiles import TILE_ROWS, map_tiles
 
 __all__ = ["compute_embeddings", "EmbeddingCache"]
 
@@ -34,20 +35,23 @@ __all__ = ["compute_embeddings", "EmbeddingCache"]
 def compute_embeddings(
     model: FoundationModel,
     x: np.ndarray,
-    batch_size: int = 64,
     channel_batch: int = 4096,
     compiled: bool = True,
 ) -> np.ndarray:
     """Encode (N, T, D) data to (N, embed_dim) without building a graph.
 
-    Batches over samples and chunks the flattened channel dimension so
-    peak memory stays bounded even for very wide inputs.  An empty
-    batch (N == 0) returns a well-shaped ``(0, embed_dim)`` array.
+    Runs the encoder over fixed row tiles of
+    :data:`~repro.training.tiles.TILE_ROWS` samples (the last one
+    zero-padded), so a sample's embedding is the same bits whatever
+    else shares the call; ``channel_batch`` chunks the flattened
+    channel dimension so peak memory stays bounded even for very wide
+    inputs.  An empty batch (N == 0) returns a well-shaped
+    ``(0, embed_dim)`` array.
 
-    Since every batch repeats the same (shape, dtype) encoder pass,
+    Since every tile repeats the same (shape, dtype) encoder pass,
     this is the prime consumer of :mod:`repro.nn.graph`: the first
-    batch of each shape bucket captures and compiles the frozen
-    encoder, every later batch replays it with arena-allocated
+    tile of a series geometry captures and compiles the frozen
+    encoder, every later tile replays it with arena-allocated
     intermediates.  ``compiled=False`` forces the eager tensor path
     (benchmark baselines, parity checks); results are bit-identical
     either way.
@@ -59,17 +63,16 @@ def compute_embeddings(
         return np.zeros((0, model.embed_dim), dtype=model.dtype)
     was_training = model.training
     model.eval()
-    outputs = []
     with contextlib.ExitStack() as stack:
         stack.enter_context(nn.no_grad())
         if not compiled:
             stack.enter_context(nn.graph.compile_disabled())
-        for start in range(0, len(x), batch_size):
-            chunk = x[start : start + batch_size]
-            outputs.append(model.encode(chunk, channel_batch=channel_batch).data)
+        embeddings = map_tiles(
+            lambda tile: model.encode(tile, channel_batch=channel_batch).data, x
+        )
     if was_training:
         model.train()
-    return np.concatenate(outputs, axis=0)
+    return embeddings
 
 
 class EmbeddingCache:
@@ -81,8 +84,6 @@ class EmbeddingCache:
         The (frozen) encoder.  Its weight fingerprint is part of every
         key, so a model pretrained differently — or mutated between
         ``get`` calls — never serves another model's embeddings.
-    batch_size:
-        Inference batch size; part of the key (batch geometry).
     store:
         Optional shared :class:`ArtifactStore`; a private memory-only
         store is created when omitted.  Pass a disk-backed store to
@@ -96,12 +97,10 @@ class EmbeddingCache:
     def __init__(
         self,
         model: FoundationModel,
-        batch_size: int = 64,
         store: ArtifactStore | None = None,
         adapter_fingerprint: str = "",
     ) -> None:
         self.model = model
-        self.batch_size = batch_size
         self.store = store if store is not None else ArtifactStore()
         self.adapter_fingerprint = adapter_fingerprint
 
@@ -111,25 +110,23 @@ class EmbeddingCache:
             fingerprint_model(self.model),
             self.adapter_fingerprint,
             fingerprint_array(x),
-            self.batch_size,
+            TILE_ROWS,
         )
 
     def get(self, x: np.ndarray, compiled: bool = True) -> np.ndarray:
         """Return (computing once) the embeddings of this array content.
 
         A store miss runs :func:`compute_embeddings`, which replays the
-        compiled frozen-encoder graph per shape bucket — so even the
-        first fit on a dataset pays eager capture cost once per bucket,
-        not once per batch.  ``compiled`` is not part of the key: the
+        compiled frozen-encoder graph tile after tile — so even the
+        first fit on a dataset pays eager capture cost once, not once
+        per tile.  ``compiled`` is not part of the key: the
         compiled and eager paths produce bit-identical embeddings.
         """
         key = self.key_for(x)
         artifact = self.store.get(key)
         if artifact is not None:
             return artifact.arrays["embeddings"]
-        embeddings = compute_embeddings(
-            self.model, x, batch_size=self.batch_size, compiled=compiled
-        )
+        embeddings = compute_embeddings(self.model, x, compiled=compiled)
         self.store.put(key, arrays={"embeddings": embeddings})
         return embeddings
 

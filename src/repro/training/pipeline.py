@@ -28,6 +28,7 @@ from ..models.heads import ClassificationHead
 from ..runtime import ArtifactStore, Instrumentation, RunSummary, fingerprint_adapter
 from .embedding_cache import EmbeddingCache, compute_embeddings
 from .strategies import FineTuneStrategy
+from .tiles import map_tiles
 from .trainer import TrainConfig, TrainResult, train_classifier_on_arrays
 
 __all__ = ["AdapterPipeline", "FitReport"]
@@ -128,21 +129,32 @@ class AdapterPipeline:
         std = ((centered * centered).mean(axis=1, keepdims=True) + 1e-8).sqrt()
         return centered / std
 
+    def _reduce_tile(self, tile: np.ndarray) -> np.ndarray:
+        """Adapter + normalisation of one ``(TILE_ROWS, T, D)`` tile."""
+        return self._normalize_array(self.adapter.transform(tile))
+
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """Adapter + normalisation of (N, T, D) input, tile by tile."""
+        return map_tiles(self._reduce_tile, x)
+
+    def _head_logits(self, embeddings: np.ndarray) -> np.ndarray:
+        """Head logits of (N, embed_dim) embeddings, tile by tile."""
+        with nn.no_grad():
+            return map_tiles(lambda tile: self.head(nn.Tensor(tile)).data, embeddings)
+
     def _encode_reduced(
-        self, reduced: np.ndarray, batch_size: int, compiled: bool = True
+        self, reduced: np.ndarray, compiled: bool = True, use_store: bool = True
     ) -> np.ndarray:
         """Frozen-encoder embeddings of reduced input, via the store.
 
-        Falls back to a direct inference pass when no store is wired
-        or the last fit disabled caching (the A2 ablation).
+        Falls back to a direct inference pass when no store is wired,
+        ``use_store`` is off, or the last fit disabled caching (the A2
+        ablation).  Both paths compute the same tiled bits.
         """
-        if self.store is None or not self.use_embedding_cache_:
-            return compute_embeddings(
-                self.model, reduced, batch_size=batch_size, compiled=compiled
-            )
+        if not use_store or self.store is None or not self.use_embedding_cache_:
+            return compute_embeddings(self.model, reduced, compiled=compiled)
         cache = EmbeddingCache(
             self.model,
-            batch_size=batch_size,
             store=self.store,
             adapter_fingerprint=fingerprint_adapter(self.adapter),
         )
@@ -203,9 +215,9 @@ class AdapterPipeline:
                         report.train_result = self._fit_joint(x_train, y_train, strategy, config)
                 else:
                     report.used_embedding_cache = True
-                    reduced = self._normalize_array(self.adapter.transform(x_train))
+                    reduced = self._reduce(x_train)
                     with inst.span("embedding"):
-                        embeddings = self._encode_reduced(reduced, config.batch_size)
+                        embeddings = self._encode_reduced(reduced)
                     with inst.span("train"):
                         report.train_result = self._fit_head(embeddings, y_train, config)
 
@@ -275,60 +287,46 @@ class AdapterPipeline:
         return result
 
     # ------------------------------------------------------------------
-    # Prediction surface (fixed-width padded execution)
+    # Prediction surface (fixed-tile execution)
     # ------------------------------------------------------------------
     def _predict_chunk(
         self,
         chunk: np.ndarray,
-        width: int,
         compiled: bool = True,
         inst: Instrumentation | None = None,
         use_store: bool = True,
     ) -> np.ndarray:
-        """Logits of one ``len(chunk) <= width`` chunk, run at ``width``.
+        """Logits of one (k, T, D) chunk, computed tile by tile.
 
-        The chunk is zero-padded to exactly ``width`` samples before the
-        adapter -> encoder -> head pass and the padding rows sliced off
-        the result.  BLAS GEMM rounding depends on the batch dimension M
-        (an M=1 and an M=64 product round differently) but — at fixed M
-        — each output row is independent of the other rows' contents, so
-        padding cannot perturb real rows.  Running *every* chunk at one
-        fixed width therefore makes logits a pure per-sample function,
-        bit-identical across arbitrary batch compositions: offline
-        prediction, the serve micro-batcher (whatever mix of requests it
-        coalesces) and single-sample calls all agree exactly.  It also
-        pins the compiled-graph shape to a single bucket.
+        The adapter, encoder and head each run over row tiles of
+        exactly :data:`~repro.training.tiles.TILE_ROWS` samples, the
+        last tile zero-padded (see :mod:`repro.training.tiles`).  At a
+        fixed GEMM row count each output row is independent of the
+        other rows' contents, so a sample's logits are a pure function
+        of (sample, ``TILE_ROWS``): offline prediction at any
+        ``batch_size``, a served micro-batch of any composition and a
+        streamed window all agree bit for bit.  ``inst`` records the
+        adapter / encode / head phase seconds.
         """
-        k = len(chunk)
-        if k < width:
-            pad = np.zeros((width - k, *chunk.shape[1:]), dtype=chunk.dtype)
-            chunk = np.concatenate([chunk, pad], axis=0)
         span = inst.span if inst is not None else (lambda name: contextlib.nullcontext())
         with span("adapter"):
-            reduced = self._normalize_array(self.adapter.transform(chunk))
+            reduced = self._reduce(chunk)
         with span("encode"):
-            if use_store:
-                embeddings = self._encode_reduced(reduced, width, compiled=compiled)
-            else:
-                embeddings = compute_embeddings(
-                    self.model, reduced, batch_size=width, compiled=compiled
-                )
+            embeddings = self._encode_reduced(reduced, compiled, use_store)
         with span("head"):
-            with nn.no_grad():
-                logits = self.head(nn.Tensor(embeddings)).data
-        return logits[:k]
+            return self._head_logits(embeddings)
 
     def predict_logits(
         self, x: np.ndarray, batch_size: int = 64, compiled: bool = True
     ) -> np.ndarray:
         """Class logits for (N, T, D) inputs (inference mode).
 
-        Inputs are processed in fixed-width chunks of exactly
-        ``batch_size`` samples (the last chunk zero-padded), so the
-        logits of a given sample do not depend on how many other
-        samples share the call — see :meth:`_predict_chunk`.
-        ``compiled=False`` forces the eager tensor path (results are
-        bit-identical either way).
+        Inputs are processed in chunks of at most ``batch_size``
+        samples (the unit of embedding-store lookup), each computed
+        tile by tile — so neither ``batch_size`` nor the other samples
+        of the call change a sample's logits; see
+        :meth:`_predict_chunk`.  ``compiled=False`` forces the eager
+        tensor path (results are bit-identical either way).
         """
         if not self.fitted_:
             raise RuntimeError("pipeline used before fit()")
@@ -340,7 +338,7 @@ class AdapterPipeline:
         if len(x) == 0:
             return np.zeros((0, self.num_classes), dtype=self.model.dtype)
         outputs = [
-            self._predict_chunk(x[start : start + batch_size], batch_size, compiled)
+            self._predict_chunk(x[start : start + batch_size], compiled)
             for start in range(0, len(x), batch_size)
         ]
         return np.concatenate(outputs, axis=0)

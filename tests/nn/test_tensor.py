@@ -280,6 +280,31 @@ class TestGraphMechanics:
             assert not nn.is_grad_enabled()
         assert nn.is_grad_enabled()
 
+    def test_no_grad_is_per_thread(self):
+        """A serving thread's no_grad never leaks into another thread, even
+        when the two blocks exit out of order."""
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker() -> None:
+            with nn.no_grad():
+                entered.set()
+                release.wait(5)
+                seen["worker"] = nn.is_grad_enabled()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert entered.wait(5)
+        assert nn.is_grad_enabled()  # the worker's block is not ours
+        with nn.no_grad():
+            release.set()
+            thread.join()
+        assert nn.is_grad_enabled()
+        assert seen["worker"] is False
+        assert Tensor([1.0], requires_grad=True).requires_grad
+
     def test_zero_grad(self):
         a = Tensor([1.0], requires_grad=True)
         (a * 2).sum().backward()

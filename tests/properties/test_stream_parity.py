@@ -3,15 +3,15 @@
 For generated ``(length, window, stride, D)`` geometries, a
 :class:`~repro.stream.StreamingClassifier` fed **one sample at a
 time** must produce logits bit-identical to the offline
-``pipeline.predict_logits(windows, batch_size=width)`` on the same
-windows — in both eager and compiled execution — and push granularity
-(singles, chunks of 7, all-at-once) must be invisible in the bits.
+``pipeline.predict_logits(windows)`` on the same windows — at a
+``batch_size`` unrelated to the stream's, in both eager and compiled
+execution — and push granularity (singles, chunks of 7, all-at-once)
+must be invisible in the bits.
 
 Pipelines are fitted once per channel count; the property then draws
 geometries and data seeds.  Bit-identity (``np.array_equal``, not
-allclose) is the whole point: the fixed-width padded execution
-discipline makes streaming a *replay* of the offline recipe, not an
-approximation of it.
+allclose) is the whole point: fixed-tile execution makes streaming a
+*replay* of the offline recipe, not an approximation of it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from repro.stream.windows import window_batch, window_starts
 from repro.testing import given, integers, sampled_from
 from repro.training import AdapterPipeline, TrainConfig
 
-WIDTH = 8  # fixed execution width shared by streaming and offline
+# Deliberately different: bits depend on the execution tile only.
+STREAM_BATCH = 3
+OFFLINE_BATCH = 8
 
 
 def _fit_pipeline(channels: int) -> AdapterPipeline:
@@ -55,12 +57,12 @@ def _series(data_seed: int, length: int, channels: int) -> np.ndarray:
 def _offline_logits(pipeline, x, window, stride, compiled):
     starts = window_starts(len(x), window, stride)
     windows = window_batch(x, starts, window)
-    return pipeline.predict_logits(windows, batch_size=WIDTH, compiled=compiled)
+    return pipeline.predict_logits(windows, batch_size=OFFLINE_BATCH, compiled=compiled)
 
 
 def _stream_logits(pipeline, x, window, stride, compiled, chunk=1):
     stream = StreamingClassifier(
-        pipeline, window, stride, batch_size=WIDTH, compiled=compiled
+        pipeline, window, stride, batch_size=STREAM_BATCH, compiled=compiled
     )
     if chunk is None:
         stream.push(x)
@@ -141,7 +143,7 @@ class TestChunkingInvariance:
 
     def test_emission_metadata_matches_geometry(self, pipelines):
         x = _series(7, 61, 3)
-        stream = StreamingClassifier(pipelines[3], 12, 4, batch_size=WIDTH)
+        stream = StreamingClassifier(pipelines[3], 12, 4, batch_size=STREAM_BATCH)
         for sample in x:
             stream.push(sample)
         starts = window_starts(len(x), 12, 4)

@@ -76,10 +76,16 @@ class TestDeployClient:
                 handle.predict_logits(x),
                 fitted.predict_logits(x, batch_size=4),
             )
-            # Matching kwargs pass; conflicting kwargs raise.
+            # Execution is tiled, so any batch_size gives the same bits
+            # and is accepted; a conflicting compiled flag still raises.
+            for batch_size in (1, 4, 32):
+                np.testing.assert_array_equal(
+                    handle.predict_logits(x, batch_size=batch_size),
+                    fitted.predict_logits(x, batch_size=batch_size),
+                )
             handle.predict(x[0], batch_size=4, compiled=True)
             with pytest.raises(ValueError, match="batch_size"):
-                handle.predict(x[0], batch_size=32)
+                handle.predict(x[0], batch_size=0)
             with pytest.raises(ValueError, match="compiled"):
                 handle.predict(x[0], compiled=False)
         finally:

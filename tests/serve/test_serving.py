@@ -42,12 +42,13 @@ def registry(fitted, tmp_path_factory):
 
 class TestBitIdentity:
     def test_concurrent_requests_match_offline_recipe(self, fitted, registry):
-        """The tentpole contract: served logits are bit-identical to
-        ``predict_logits(x, batch_size=max_batch)`` offline, no matter
-        how requests were packed into micro-batches."""
+        """The serving contract: served logits are bit-identical to
+        offline ``predict_logits(x)`` at a batch size unrelated to
+        ``max_batch``, no matter how requests were packed into
+        micro-batches."""
         config = ServeConfig(max_batch=8, max_delay_s=0.002)
         x = fitted.dataset.x_test[:24]
-        offline = fitted.pipeline.predict_logits(x, batch_size=config.max_batch)
+        offline = fitted.pipeline.predict_logits(x, batch_size=5)
 
         results: list[np.ndarray | None] = [None] * len(x)
         with PipelineServer(registry, "vowels", config=config) as server:
@@ -76,9 +77,7 @@ class TestBitIdentity:
             rows = np.stack([server.predict_logits(series) for series in x], axis=0)
             batched = server.predict_logits(x)
         np.testing.assert_array_equal(rows, batched)
-        np.testing.assert_array_equal(
-            rows, fitted.pipeline.predict_logits(x, batch_size=4)
-        )
+        np.testing.assert_array_equal(rows, fitted.pipeline.predict_logits(x))
 
     def test_predict_and_proba_shapes(self, fitted, registry):
         x = fitted.dataset.x_test[:3]

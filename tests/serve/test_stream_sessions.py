@@ -51,7 +51,8 @@ def _stream_series(seed: int, length: int = 72) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(length, 12))
 
 
-def _offline(fitted, x: np.ndarray, batch_size: int) -> np.ndarray:
+def _offline(fitted, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """Offline logits of the stream's windows; any batch size gives the same bits."""
     starts = window_starts(len(x), WINDOW, STRIDE)
     return fitted.pipeline.predict_logits(
         window_batch(x, starts, WINDOW), batch_size=batch_size
@@ -67,7 +68,7 @@ class TestSessionSurface:
                 for sample in x:
                     session.push(sample)
                 predictions = session.results()
-        offline = _offline(fitted, x, config.max_batch)
+        offline = _offline(fitted, x)
         np.testing.assert_array_equal(
             np.stack([p.logits for p in predictions], axis=0), offline
         )
@@ -129,7 +130,7 @@ class TestConcurrentSessions:
             stats = server.stats()
 
         for i, x in streams.items():
-            offline = _offline(fitted, x, config.max_batch)
+            offline = _offline(fitted, x)
             np.testing.assert_array_equal(
                 np.stack([p.logits for p in collected[i]], axis=0), offline
             )
@@ -146,7 +147,7 @@ class TestConcurrentSessions:
         session.push(x)
         assert session.pending > 0
         server.close()  # drain=True default: resolves the session first
-        offline = _offline(fitted, x, config.max_batch)
+        offline = _offline(fitted, x)
         np.testing.assert_array_equal(
             np.stack([p.logits for p in session.predictions], axis=0), offline
         )
@@ -176,7 +177,7 @@ class TestWorkerCrashMidStream:
         finally:
             del os.environ[CHAOS_ENV]
 
-        offline = _offline(fitted, x, batch_size=1)
+        offline = _offline(fitted, x, batch_size=3)
         assert len(predictions) == len(offline) == 5
         np.testing.assert_array_equal(
             np.stack([p.logits for p in predictions], axis=0), offline

@@ -145,7 +145,7 @@ class TestCacheDrift:
     """The rolling cache must never serve an embedding for mutated data."""
 
     def test_mutated_window_is_re_encoded(self, fitted, rng):
-        cache = WindowEmbeddingCache(fitted.pipeline, width=4)
+        cache = WindowEmbeddingCache(fitted.pipeline)
         window = rng.normal(size=(16, 12))
         first = cache.embedding(window)
         assert cache.stats()["misses"] == 1
@@ -160,7 +160,7 @@ class TestCacheDrift:
         assert not np.array_equal(first, second)
 
     def test_unchanged_content_hits_even_from_a_fresh_array(self, fitted, rng):
-        cache = WindowEmbeddingCache(fitted.pipeline, width=4)
+        cache = WindowEmbeddingCache(fitted.pipeline)
         window = rng.normal(size=(16, 12))
         first = cache.embedding(window)
         replayed = cache.embedding(window.copy())  # same bits, new object
@@ -170,7 +170,7 @@ class TestCacheDrift:
     def test_seeded_drift_walk_never_serves_stale(self, fitted):
         """Seeded adversarial walk: randomly mutate-or-replay a window;
         every replay must hit, every mutation must miss and re-encode."""
-        cache = WindowEmbeddingCache(fitted.pipeline, width=4)
+        cache = WindowEmbeddingCache(fitted.pipeline)
         drift_rng = np.random.default_rng(20260808)
         window = drift_rng.normal(size=(16, 12))
         embeddings = {cache.key_for(window): cache.embedding(window).copy()}
