@@ -10,7 +10,9 @@
 #                   scenario against ./goldens
 #   5. nn smoke     fused-op gradchecks, the replay-parity sweep
 #                   (eager vs compiled bit-identity for every
-#                   registered op), and the tiny dtype/replay bench
+#                   registered op), the two graph threading properties
+#                   (capture beside another thread, concurrent
+#                   replays), and the tiny dtype/replay bench
 #   6. chaos smoke  seeded SIGKILL-at-a-point + resume over a scripted
 #                   grid: the journal/lease layer must converge to the
 #                   reference results with zero re-executed done jobs
@@ -69,11 +71,14 @@ python -m repro.cli selfcheck --smoke
 # gate even when the pytest args above selected an unrelated subtree:
 # finite-difference gradchecks for the fused ops, the replay-parity
 # sweep (every registered op must replay bit-identically through the
-# compiled graph engine or be declared eager-only by name), then a tiny
+# compiled graph engine or refuse capture by its own name), the graph
+# threading properties (a capture records only its own thread; replays
+# of one graph never share intermediates), then a tiny
 # float64-vs-float32 trainer-step + eager-vs-compiled inference bench
 # that must run end to end.
 echo "== nn fast-numerics smoke =="
-python -m pytest tests/nn/test_fused_ops.py tests/properties/test_replay_parity.py -q
+python -m pytest tests/nn/test_fused_ops.py tests/properties/test_replay_parity.py \
+                 tests/properties/test_graph_threads.py -q
 python benchmarks/bench_nn.py --smoke
 
 # Crash-safety gate: one seeded kill/resume scenario plus the shard

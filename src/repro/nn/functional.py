@@ -3,7 +3,9 @@
 These are composite operations (activations, normalisations, losses)
 expressed in terms of the primitive tensor ops, plus a few fused
 implementations with hand-written backward passes where the composite
-form would be numerically fragile (softmax, cross-entropy).
+form would be numerically fragile (softmax, cross-entropy).  A fused
+op's forward math lives in one kernel (``_gelu``, ``_layer_norm``, ...)
+beside it, shared by eager execution and compiled replay.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, registered_op
+from .tensor import Tensor, _forward, as_tensor, registered_op
 
 __all__ = [
     "relu",
@@ -35,7 +37,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit."""
     x = as_tensor(x)
-    out_data = np.maximum(x.data, 0.0)
+    out_data = _forward(np.maximum, x, 0.0)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (x.data > 0))
@@ -43,14 +45,25 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _gelu(x, *, out=None):
+    # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3))), one ufunc
+    # at a time in place: with ``out`` the only full-size temporary is
+    # ``0.5 * x``; without it, tanh(inner) survives for the backward.
+    t = np.power(x, 3, out=out)
+    np.multiply(0.044715, t, out=t)
+    np.add(x, t, out=t)
+    np.multiply(_SQRT_2_OVER_PI, t, out=t)
+    tanh_inner = np.tanh(t, out=t)
+    y = np.add(1.0, tanh_inner, out=out)
+    return np.multiply(0.5 * x, y, out=y), tanh_inner
+
+
 @registered_op("gelu")
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT/GPT)."""
     x = as_tensor(x)
     data = x.data
-    inner = _SQRT_2_OVER_PI * (data + 0.044715 * data**3)
-    tanh_inner = np.tanh(inner)
-    out_data = 0.5 * data * (1.0 + tanh_inner)
+    out_data, tanh_inner = _forward(_gelu, x)
 
     def backward(grad: np.ndarray) -> None:
         sech2 = 1.0 - tanh_inner**2
@@ -61,15 +74,16 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _sigmoid(x, *, out=None):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 @registered_op("sigmoid")
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid with a numerically stable forward pass."""
     x = as_tensor(x)
-    out_data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    out_data = _forward(_sigmoid, x)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * out_data * (1.0 - out_data))
@@ -77,13 +91,19 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _softmax(x, axis=-1, *, out=None):
+    # Staged in place: the sum reduces the output buffer itself, whose
+    # layout is the eager one, so the rounding matches at any ``out``.
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
+
+
 @registered_op("softmax")
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` with a fused, stable backward pass."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = _forward(_softmax, x, axis)
 
     def backward(grad: np.ndarray) -> None:
         dot = (grad * out_data).sum(axis=axis, keepdims=True)
@@ -92,13 +112,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _log_softmax(x, axis=-1, *, out=None):
+    shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return np.subtract(shifted, log_norm, out=shifted)
+
+
 @registered_op("log_softmax")
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis`` (stable log-sum-exp form)."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_norm
+    out_data = _forward(_log_softmax, x, axis)
 
     def backward(grad: np.ndarray) -> None:
         softmax_data = np.exp(out_data)
@@ -109,7 +133,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 @registered_op("dropout")
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability ``p``, rescale by 1/(1-p)."""
+    """Inverted dropout: zero with probability ``p``, rescale by 1/(1-p).
+
+    In training mode it has no forward kernel (a fresh mask per call
+    cannot be replayed), so graph capture refuses it by name.
+    """
     if not training or p <= 0.0:
         return as_tensor(x)
     if not 0.0 <= p < 1.0:
@@ -130,6 +158,19 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     return Tensor._make(out_data, (x,), backward)
 
 
+def _layer_norm(x, weight, bias, eps=1e-5, *, out=None):
+    # ``centered`` is normalised in place into x_hat, then into the
+    # output.  Without ``out`` the output gets its own buffer and x_hat
+    # and 1/sigma survive for the backward; with it the only full-size
+    # temporary is ``centered * centered``.
+    centered = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+    variance = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(variance + eps)
+    x_hat = np.multiply(centered, inv_std, out=centered)
+    y = np.multiply(x_hat, weight, out=out)
+    return np.add(y, bias, out=y), x_hat, inv_std
+
+
 @registered_op("layer_norm")
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the trailing dimension (fused).
@@ -143,13 +184,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     full-activation temporaries per call in each direction.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    data = x.data
-    mean = data.mean(axis=-1, keepdims=True)
-    centered = data - mean
-    variance = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * weight.data + bias.data
+    out_data, x_hat, inv_std = _forward(_layer_norm, x, weight, bias, eps)
 
     def backward(grad: np.ndarray) -> None:
         if bias.requires_grad:

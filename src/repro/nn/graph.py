@@ -7,18 +7,21 @@ re-records every tape node, re-allocates every intermediate and
 re-builds every backward closure on each call.  This module removes
 all three costs for that workload:
 
-* **Capture** — :func:`capture` installs a tracer into the
-  ``@registered_op`` wrappers of :mod:`repro.nn.tensor` and runs the
-  target function once.  Each *outermost* registered op becomes one
-  :class:`TraceStep` (op name from ``OP_REGISTRY``, argument
-  references, output shape/dtype); composites (``sub``, ``mean``,
-  ``cross_entropy``, ...) record as single steps, exactly mirroring
-  the replay-kernel granularity.  Tensor arguments are classified:
-  graph inputs and op outputs become *slots*, tensors that existed
-  before the capture (weights, biases, positional embeddings) are
-  recorded *by reference* — replay reads their current ``.data``, so
-  in-place weight updates are picked up automatically — and leaves
-  born mid-capture are baked *by value*.
+* **Capture** — :func:`capture` installs a tracer as this thread's
+  capture hook in :mod:`repro.nn.tensor` and runs the target function
+  once.  Every op computes its output by calling its forward kernel
+  through ``tensor._forward``; each such call becomes one
+  :class:`TraceStep` (the kernel, argument references, output
+  shape/dtype/strides), named like the profiler names the node.  A
+  composite (``sub``, ``mean``, ``cross_entropy``, ...) has no kernel
+  of its own and records as the primitive steps it runs.  Tensor
+  arguments are classified: graph inputs and kernel outputs become
+  *slots*, tensors that existed before the capture (weights, biases,
+  positional embeddings) are recorded *by reference* — replay reads
+  their current ``.data``, so in-place weight updates are picked up
+  automatically — and leaves born mid-capture are baked *by value*.
+  An op that makes a graph node without a kernel call (training-mode
+  ``dropout``) raises :class:`TraceError` naming the op.
 * **Compile** — :func:`compile_trace` runs dead-node elimination
   (anything the output does not depend on is dropped, and no backward
   closure or grad bookkeeping survives by construction), then an
@@ -27,32 +30,27 @@ all three costs for that workload:
   lifetimes do not overlap.  View-producing steps (``reshape``,
   ``transpose``, ``getitem`` on basic indices) share their input's
   storage, so a buffer is never recycled while a view of it is live.
-* **Replay** — :meth:`CompiledGraph.run` executes the step list
-  through :data:`REPLAY_KERNELS`, a dispatch table of raw-numpy
-  kernels that mirror the eager forward expressions *bit for bit*,
-  writing into arena buffers where the kernel supports ``out=``.  A
-  guard raises :class:`ReplayGuard` on any input/parameter
-  shape-or-dtype mismatch so callers can fall back to eager, and an
-  active :mod:`repro.nn.profiler` receives per-op replay timings and
-  per-run bytes-saved stats.
-
-Every name in ``OP_REGISTRY`` must either have a replay kernel or be
-listed in :data:`EAGER_ONLY_OPS` with a reason; a new op added without
-either fails :func:`assert_replay_coverage` **by name**, mirroring the
-gradcheck sweep's ``assert_full_coverage``.
+* **Replay** — :meth:`CompiledGraph.run` calls each step's kernel —
+  the same function the eager op called — with ``out=`` pointing into
+  the arena, so replay reproduces eager bits by construction.  A guard
+  raises :class:`ReplayGuard` on any input/parameter shape-or-dtype
+  mismatch so callers can fall back to eager, and an active
+  :mod:`repro.nn.profiler` receives per-op replay timings and per-run
+  bytes-saved stats.  Runs of one graph are serialised by its lock;
+  every run keeps its slots to itself.
 
 Typical use is through :class:`GraphCache` (one per model, keyed by
 input signature), which validates each freshly compiled graph against
 an eager pass on perturbed inputs before trusting it — a capture that
-baked a data-dependent constant or hit a non-parity kernel quietly
-degrades to eager instead of corrupting results.
+baked a data-dependent constant quietly degrades to eager instead of
+corrupting results.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -61,7 +59,7 @@ import numpy as np
 
 from . import profiler as _profiler
 from . import tensor as _tensor
-from .tensor import OP_REGISTRY, Tensor, no_grad
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "TraceError",
@@ -73,11 +71,6 @@ __all__ = [
     "capture",
     "compile_trace",
     "capture_compiled",
-    "REPLAY_KERNELS",
-    "EAGER_ONLY_OPS",
-    "missing_replay_kernels",
-    "stale_replay_kernels",
-    "assert_replay_coverage",
     "compile_enabled",
     "set_compile_enabled",
     "compile_disabled",
@@ -85,7 +78,14 @@ __all__ = [
 
 
 class TraceError(RuntimeError):
-    """A function could not be captured (non-replayable op, nesting, ...)."""
+    """A function could not be captured (non-replayable op, nesting, ...).
+
+    ``op`` names the op that refused capture, when one did.
+    """
+
+    def __init__(self, message: str, op: str | None = None) -> None:
+        super().__init__(message)
+        self.op = op
 
 
 class ReplayGuard(RuntimeError):
@@ -149,9 +149,10 @@ def compile_disabled():
 # ----------------------------------------------------------------------
 @dataclass
 class TraceStep:
-    """One recorded op application."""
+    """One recorded forward-kernel call."""
 
     op: str
+    kernel: Callable
     args: tuple
     kwargs: dict
     out: int  # output slot id
@@ -208,19 +209,21 @@ class Trace:
 # Capture
 # ----------------------------------------------------------------------
 class Tracer:
-    """Records registered-op applications while installed in tensor.py.
+    """Records forward-kernel calls while installed in tensor.py.
 
-    Lifecycle: created by :func:`capture`, installed via
-    ``tensor._set_tracer``, fed by the ``registered_op`` wrappers
-    (``_traced_call``) and ``Tensor.__init__`` (``_note_leaf``).
+    Lifecycle: created by :func:`capture`, installed as the thread's
+    hook via ``tensor._set_tracer``, fed by ``tensor._forward``
+    (``_record``), ``Tensor._make`` (``_bind``) and ``Tensor.__init__``
+    (``_note_leaf``).  Slots are keyed by the identity of the arrays
+    the kernels return; the tracer keeps them alive so ids stay unique.
     """
 
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
         self.params: list[Tensor] = []
-        self._depth = 0  # >0 while inside a recorded composite
-        self._slot_of: dict[int, int] = {}  # id(tensor) -> slot
-        self._slot_tensors: list[Tensor] = []  # keeps ids stable
+        self._slot_of: dict[int, int] = {}  # id(ndarray) -> slot
+        self._slot_arrays: list[np.ndarray] = []  # keeps ids stable
+        self._step_of: dict[int, TraceStep] = {}  # slot -> producing step
         self._param_of: dict[int, int] = {}  # id(tensor) -> param index
         self._fresh: dict[int, Tensor] = {}  # leaves born mid-capture
         self._baked: dict[int, tuple] = {}  # id(tensor) -> VALUE ref
@@ -229,51 +232,39 @@ class Tracer:
     def _note_leaf(self, t: Tensor) -> None:
         self._fresh[id(t)] = t
 
-    def _traced_call(self, name: str, fn, args: tuple, kwargs: dict):
-        args = tuple(
-            list(a) if not isinstance(a, (Tensor, np.ndarray, str, bytes)) and _is_iterator(a) else a
-            for a in args
+    def _record(self, kernel: Callable, args: tuple, kwargs: dict, out: np.ndarray) -> None:
+        if id(out) in self._slot_of:
+            return  # the kernel handed back an existing slot: a pure alias
+        alias_of = self._find_alias(out, args, kwargs)
+        step = TraceStep(
+            op=kernel.__name__,  # renamed after the node's op by _bind
+            kernel=kernel,
+            args=tuple(self._ref_of(a) for a in args),
+            kwargs={k: self._ref_of(v) for k, v in kwargs.items()},
+            out=self._new_slot(out),
+            shape=out.shape,
+            dtype=out.dtype,
+            alias_of=alias_of,
+            strides=out.strides,
         )
-        self._depth += 1
-        try:
-            out = fn(*args, **kwargs)
-        finally:
-            self._depth -= 1
-        self._record(name, args, kwargs, out)
-        return out
+        self._step_of[step.out] = step
+        self.steps.append(step)
+
+    def _bind(self, node: Tensor, backward: Callable) -> None:
+        name = _profiler._op_name(backward.__code__)
+        slot = self._slot_of.get(id(node.data))
+        if slot is None:
+            raise TraceError(
+                f"op {name!r} is not replayable: it makes a graph node "
+                "without calling a forward kernel",
+                op=name,
+            )
+        step = self._step_of.get(slot)
+        if step is not None:
+            step.op = name
 
     # -- recording -----------------------------------------------------
-    def _record(self, name: str, args: tuple, kwargs: dict, out) -> None:
-        if not isinstance(out, Tensor):
-            raise TraceError(f"op {name!r} returned {type(out).__name__}, not a Tensor")
-        key = id(out)
-        if key in self._slot_of or key in self._param_of:
-            return  # identity op (eval dropout, same-dtype astype): pure alias
-        if name in EAGER_ONLY_OPS:
-            raise TraceError(f"op {name!r} is not replayable: {EAGER_ONLY_OPS[name]}")
-        if name not in REPLAY_KERNELS:
-            raise TraceError(
-                f"op {name!r} has no replay kernel; add one to "
-                "repro.nn.graph.REPLAY_KERNELS or list it in EAGER_ONLY_OPS"
-            )
-        arg_refs = tuple(self._ref_of(a) for a in args)
-        kwarg_refs = {k: self._ref_of(v) for k, v in kwargs.items()}
-        alias_of = self._find_alias(out, args, kwargs)
-        slot = self._new_slot(out)
-        self.steps.append(
-            TraceStep(
-                op=name,
-                args=arg_refs,
-                kwargs=kwarg_refs,
-                out=slot,
-                shape=out.data.shape,
-                dtype=out.data.dtype,
-                alias_of=alias_of,
-                strides=out.data.strides,
-            )
-        )
-
-    def _find_alias(self, out: Tensor, args: tuple, kwargs: dict) -> int | None:
+    def _find_alias(self, out: np.ndarray, args: tuple, kwargs: dict) -> int | None:
         """Slot whose memory the output shares, if any (view ops).
 
         A view of a *non-slot* tensor (e.g. ``weight.transpose(...)``)
@@ -286,23 +277,23 @@ class Tracer:
             for item in candidates:
                 if not isinstance(item, Tensor):
                     continue
-                if not np.may_share_memory(out.data, item.data):
+                if not np.may_share_memory(out, item.data):
                     continue
-                slot = self._slot_of.get(id(item))
+                slot = self._slot_of.get(id(item.data))
                 if slot is not None:
                     return slot
                 external = EXTERNAL_VIEW
         return external
 
-    def _new_slot(self, t: Tensor) -> int:
-        slot = len(self._slot_tensors)
-        self._slot_tensors.append(t)
-        self._slot_of[id(t)] = slot
+    def _new_slot(self, array: np.ndarray) -> int:
+        slot = len(self._slot_arrays)
+        self._slot_arrays.append(array)
+        self._slot_of[id(array)] = slot
         return slot
 
     def _ref_of(self, value):
         if isinstance(value, Tensor):
-            slot = self._slot_of.get(id(value))
+            slot = self._slot_of.get(id(value.data))
             if slot is not None:
                 return (_SLOT, slot)
             index = self._param_of.get(id(value))
@@ -341,21 +332,18 @@ def _contains_tensor(seq) -> bool:
     )
 
 
-def _is_iterator(value) -> bool:
-    return hasattr(value, "__next__")
-
-
 def capture(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray]) -> Trace:
     """Run ``fn`` once on ``inputs`` and record its op sequence.
 
     ``fn`` receives one :class:`Tensor` per input array and must return
     a Tensor whose value is produced by registered ops.  The capture
-    runs under ``no_grad`` (compiled replay is an inference engine);
-    raises :class:`TraceError` when the function cannot be replayed —
-    a non-deterministic op (training-mode dropout), a nested capture,
-    or an output that is not a traced op result.
+    runs under ``no_grad`` (compiled replay is an inference engine) and
+    records only this thread's ops.  Raises :class:`TraceError` when the
+    function cannot be replayed — an op without a forward kernel
+    (training-mode dropout), a nested capture, or an output that is not
+    a traced op result.
     """
-    if _tensor._TRACER is not None:
+    if _tensor._CAPTURE.tracer is not None:
         raise TraceError("a graph capture is already active")
     # Normalise input layout: replay also C-normalises its inputs, and
     # every recorded stride downstream assumes this base layout.
@@ -364,7 +352,7 @@ def capture(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray]) -> Trace:
     # they register as slots, not as baked mid-capture leaves.
     tensors = [Tensor(a) for a in arrays]
     tracer = Tracer()
-    input_slots = [tracer._new_slot(t) for t in tensors]
+    input_slots = [tracer._new_slot(t.data) for t in tensors]
     previous = _tensor._set_tracer(tracer)
     try:
         with no_grad():
@@ -373,7 +361,7 @@ def capture(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray]) -> Trace:
         _tensor._set_tracer(previous)
     if not isinstance(out, Tensor):
         raise TraceError(f"captured function returned {type(out).__name__}, not a Tensor")
-    out_slot = tracer._slot_of.get(id(out))
+    out_slot = tracer._slot_of.get(id(out.data))
     if out_slot is None or not tracer.steps:
         raise TraceError("captured function produced no traced ops for its output")
     return Trace(
@@ -381,373 +369,9 @@ def capture(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray]) -> Trace:
         inputs=input_slots,
         output=out_slot,
         params=tracer.params,
-        num_slots=len(tracer._slot_tensors),
+        num_slots=len(tracer._slot_arrays),
         input_sig=[(a.shape, a.dtype) for a in arrays],
     )
-
-
-# ----------------------------------------------------------------------
-# Replay kernels — each mirrors the eager forward expression bit for bit
-# ----------------------------------------------------------------------
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-#: op name -> replay kernel.  Signatures mirror the eager op (so the
-#: recorded positional/keyword arguments apply unchanged) with Tensor
-#: operands replaced by ndarrays, plus a keyword-only ``out=`` that a
-#: kernel may use to write into its arena buffer (or ignore).
-REPLAY_KERNELS: dict[str, Callable] = {}
-
-#: Registered ops that can never be replayed, with the reason; the
-#: tracer refuses a capture that records one (mirroring the fail-by-name
-#: contract of the gradcheck sweep).
-EAGER_ONLY_OPS: dict[str, str] = {
-    "dropout": "training-mode dropout draws a fresh random mask per call",
-}
-
-
-def replay_kernel(name: str):
-    """Register the replay kernel for op ``name``."""
-
-    def decorate(fn):
-        if name in REPLAY_KERNELS:
-            raise ValueError(f"replay kernel {name!r} registered twice")
-        REPLAY_KERNELS[name] = fn
-        return fn
-
-    return decorate
-
-
-def _coerce_operand(a: np.ndarray, other) -> np.ndarray:
-    """Replicate ``Tensor._operand``'s dtype policy on raw arrays."""
-    if isinstance(other, np.ndarray):
-        return other
-    if np.isscalar(other):
-        return np.asarray(other, dtype=a.dtype)
-    return Tensor(other).data
-
-
-def _as_array(value) -> np.ndarray:
-    """Replicate ``as_tensor``'s creation policy on raw values."""
-    return value if isinstance(value, np.ndarray) else Tensor(value).data
-
-
-@replay_kernel("add")
-def _k_add(a, b, *, out=None):
-    b = _coerce_operand(a, b)
-    return np.add(a, b, out=out) if out is not None else a + b
-
-
-@replay_kernel("neg")
-def _k_neg(a, *, out=None):
-    return np.negative(a, out=out) if out is not None else -a
-
-
-@replay_kernel("sub")
-def _k_sub(a, b, *, out=None):
-    # Eager sub is a + (-b); IEEE-754 subtraction is identical bit for bit.
-    b = _coerce_operand(a, b)
-    return np.subtract(a, b, out=out) if out is not None else a - b
-
-
-@replay_kernel("mul")
-def _k_mul(a, b, *, out=None):
-    b = _coerce_operand(a, b)
-    return np.multiply(a, b, out=out) if out is not None else a * b
-
-
-@replay_kernel("truediv")
-def _k_truediv(a, b, *, out=None):
-    b = _coerce_operand(a, b)
-    return np.divide(a, b, out=out) if out is not None else a / b
-
-
-@replay_kernel("pow")
-def _k_pow(a, exponent, *, out=None):
-    return np.power(a, exponent, out=out) if out is not None else a**exponent
-
-
-@replay_kernel("matmul")
-def _k_matmul(a, b, *, out=None):
-    b = _as_array(b)
-    if out is not None:
-        try:
-            return np.matmul(a, b, out=out)
-        except (TypeError, ValueError):
-            pass
-    return a @ b
-
-
-@replay_kernel("reshape")
-def _k_reshape(a, *shape, out=None):
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return a.reshape(shape)
-
-
-@replay_kernel("transpose")
-def _k_transpose(a, *axes, out=None):
-    if not axes:
-        axes = tuple(reversed(range(a.ndim)))
-    elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    return a.transpose(axes)
-
-
-@replay_kernel("astype")
-def _k_astype(a, dtype, *, out=None):
-    # Identity casts never record a step, so this is always a real copy.
-    if out is not None:
-        out[...] = a
-        return out
-    return a.astype(np.dtype(dtype))
-
-
-@replay_kernel("swapaxes")
-def _k_swapaxes(a, axis1, axis2, *, out=None):
-    return np.swapaxes(a, axis1, axis2)
-
-
-@replay_kernel("getitem")
-def _k_getitem(a, index, *, out=None):
-    if isinstance(index, np.ndarray) and index.dtype.kind == "f":
-        # The eager op coerces Tensor indices via .astype(np.int64).
-        index = index.astype(np.int64)
-    return np.asarray(a[index])
-
-
-@replay_kernel("sum")
-def _k_sum(a, axis=None, keepdims=False, *, out=None):
-    if out is not None:
-        return np.sum(a, axis=axis, keepdims=keepdims, out=out)
-    return np.asarray(a.sum(axis=axis, keepdims=keepdims))
-
-
-def _reduce_count(a: np.ndarray, axis) -> int:
-    if axis is None:
-        return a.size
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    return int(np.prod([a.shape[ax] for ax in axes]))
-
-
-@replay_kernel("mean")
-def _k_mean(a, axis=None, keepdims=False, *, out=None):
-    # Eager mean is sum(...) / count with the count coerced to the
-    # sum's dtype (Tensor._operand weak-scalar rule).
-    s = np.asarray(a.sum(axis=axis, keepdims=keepdims))
-    count = np.asarray(_reduce_count(a, axis), dtype=s.dtype)
-    return np.divide(s, count, out=out) if out is not None else s / count
-
-
-@replay_kernel("var")
-def _k_var(a, axis=None, keepdims=False, *, out=None):
-    centered = a - _k_mean(a, axis=axis, keepdims=True)
-    return _k_mean(centered * centered, axis=axis, keepdims=keepdims, out=out)
-
-
-@replay_kernel("max")
-def _k_max(a, axis=None, keepdims=False, *, out=None):
-    return np.asarray(a.max(axis=axis, keepdims=keepdims))
-
-
-@replay_kernel("exp")
-def _k_exp(a, *, out=None):
-    return np.exp(a, out=out) if out is not None else np.exp(a)
-
-
-@replay_kernel("log")
-def _k_log(a, *, out=None):
-    return np.log(a, out=out) if out is not None else np.log(a)
-
-
-@replay_kernel("sqrt")
-def _k_sqrt(a, *, out=None):
-    return np.sqrt(a, out=out) if out is not None else np.sqrt(a)
-
-
-@replay_kernel("tanh")
-def _k_tanh(a, *, out=None):
-    return np.tanh(a, out=out) if out is not None else np.tanh(a)
-
-
-@replay_kernel("abs")
-def _k_abs(a, *, out=None):
-    return np.abs(a, out=out) if out is not None else np.abs(a)
-
-
-@replay_kernel("clip")
-def _k_clip(a, low, high, *, out=None):
-    if out is not None:
-        return np.clip(a, low, high, out=out)
-    return np.clip(a, low, high)
-
-
-@replay_kernel("concatenate")
-def _k_concatenate(tensors, axis=0, *, out=None):
-    arrays = [_as_array(t) for t in tensors]
-    if out is not None:
-        return np.concatenate(arrays, axis=axis, out=out)
-    return np.concatenate(arrays, axis=axis)
-
-
-@replay_kernel("stack")
-def _k_stack(tensors, axis=0, *, out=None):
-    arrays = [_as_array(t) for t in tensors]
-    if out is not None:
-        return np.stack(arrays, axis=axis, out=out)
-    return np.stack(arrays, axis=axis)
-
-
-@replay_kernel("where")
-def _k_where(condition, a, b, *, out=None):
-    condition = np.asarray(condition)
-    return np.where(condition, _as_array(a), _as_array(b))
-
-
-@replay_kernel("relu")
-def _k_relu(x, *, out=None):
-    return np.maximum(x, 0.0, out=out) if out is not None else np.maximum(x, 0.0)
-
-
-@replay_kernel("gelu")
-def _k_gelu(x, *, out=None):
-    if out is None:
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-        return (0.5 * x) * (1.0 + np.tanh(inner))
-    # Same operation tree, but staged through ``out`` (which never
-    # aliases ``x``) so the only full-size temporary is ``0.5 * x``.
-    # Each ufunc matches the eager expression operand-for-operand, so
-    # the rounding is bit-identical.
-    np.power(x, 3, out=out)
-    np.multiply(0.044715, out, out=out)
-    np.add(x, out, out=out)
-    np.multiply(_SQRT_2_OVER_PI, out, out=out)
-    np.tanh(out, out=out)
-    np.add(1.0, out, out=out)
-    return np.multiply(0.5 * x, out, out=out)
-
-
-@replay_kernel("sigmoid")
-def _k_sigmoid(x, *, out=None):
-    return np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x))),
-        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-    )
-
-
-@replay_kernel("softmax")
-def _k_softmax(x, axis=-1, *, out=None):
-    if out is None:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=axis, keepdims=True)
-    # Staged through ``out``: no full-size temporaries.  ``out`` carries
-    # the eager layout (see _out_view), so the ``sum`` reduction walks
-    # memory in the same order eager did — bit-identical rounding.
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-    np.exp(out, out=out)
-    norm = out.sum(axis=axis, keepdims=True)
-    return np.divide(out, norm, out=out)
-
-
-@replay_kernel("log_softmax")
-def _k_log_softmax(x, axis=-1, *, out=None):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    if out is not None:
-        return np.subtract(shifted, log_norm, out=out)
-    return shifted - log_norm
-
-
-@replay_kernel("layer_norm")
-def _k_layer_norm(x, weight, bias, eps=1e-5, *, out=None):
-    mean = x.mean(axis=-1, keepdims=True)
-    if out is None:
-        centered = x - mean
-        variance = np.mean(centered * centered, axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(variance + eps)
-        return (centered * inv_std) * weight + bias
-    # ``out`` holds ``centered`` while the row statistics are reduced,
-    # then is normalized and affine-transformed in place.  The only
-    # full-size temporary is ``centered * centered``.
-    np.subtract(x, mean, out=out)
-    variance = np.mean(out * out, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    np.multiply(out, inv_std, out=out)
-    np.multiply(out, weight, out=out)
-    np.add(out, bias, out=out)
-    return out
-
-
-@replay_kernel("cross_entropy")
-def _k_cross_entropy(logits, targets, *, out=None):
-    targets = np.asarray(targets).astype(np.int64)
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_norm
-    picked = log_probs[np.arange(n), targets]
-    return np.negative(_k_mean(picked))
-
-
-@replay_kernel("mse_loss")
-def _k_mse_loss(prediction, target, *, out=None):
-    target = np.asarray(target, dtype=prediction.dtype)
-    diff = prediction - target
-    return _k_mean(diff * diff)
-
-
-@replay_kernel("masked_mse_loss")
-def _k_masked_mse_loss(prediction, target, mask, *, out=None):
-    target = np.asarray(np.asarray(target), dtype=prediction.dtype)
-    mask = np.asarray(mask, dtype=prediction.dtype)
-    total = float(mask.sum())
-    diff = (prediction - target) * mask
-    s = np.asarray((diff * diff).sum())
-    return s / np.asarray(total, dtype=s.dtype)
-
-
-@replay_kernel("info_nce_loss")
-def _k_info_nce_loss(queries, keys, temperature=0.07, *, out=None):
-    q_scale = ((queries * queries).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5
-    k_scale = ((keys * keys).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5
-    q_norm = queries * q_scale
-    k_norm = keys * k_scale
-    logits = (q_norm @ k_norm.transpose()) * np.asarray(
-        1.0 / temperature, dtype=q_norm.dtype
-    )
-    targets = np.arange(queries.shape[0])
-    return _k_cross_entropy(logits, targets)
-
-
-def missing_replay_kernels() -> list[str]:
-    """Registered ops with neither a replay kernel nor an eager-only entry."""
-    return sorted(
-        name
-        for name in OP_REGISTRY
-        if name not in REPLAY_KERNELS and name not in EAGER_ONLY_OPS
-    )
-
-
-def stale_replay_kernels() -> list[str]:
-    """Replay kernels (or eager-only entries) naming no registered op."""
-    known = set(OP_REGISTRY)
-    return sorted(
-        name for name in (set(REPLAY_KERNELS) | set(EAGER_ONLY_OPS)) if name not in known
-    )
-
-
-def assert_replay_coverage() -> None:
-    """Raise naming every op without replay dispatch (or stale kernel)."""
-    problems = []
-    missing = missing_replay_kernels()
-    if missing:
-        problems.append(f"ops without a replay kernel: {missing}")
-    stale = stale_replay_kernels()
-    if stale:
-        problems.append(f"replay kernels for unknown ops: {stale}")
-    if problems:
-        raise AssertionError("; ".join(problems))
 
 
 # ----------------------------------------------------------------------
@@ -831,13 +455,14 @@ class CompiledGraph:
         )
         self.dead_steps = len(trace.steps) - len(live_steps)
         self.replays = 0
-        self._kernels = [REPLAY_KERNELS[s.op] for s in live_steps]
         self._blocks: dict[int, np.ndarray] = {}
         self._views: dict[int, np.ndarray] = {}
-        self._slots: list = [None] * trace.num_slots
         #: per-step execution plan with constants pre-resolved and the
         #: arena view pre-built; only slot/param refs resolve per run
         self._exec: list | None = None
+        #: one run at a time owns the arena (threads share graphs through
+        #: a model's GraphCache)
+        self._lock = threading.Lock()
 
     # -- memory --------------------------------------------------------
     @property
@@ -879,7 +504,8 @@ class CompiledGraph:
         Raises :class:`ReplayGuard` when the input or parameter
         signature no longer matches the capture (callers fall back to
         eager).  The returned array is freshly owned — it never aliases
-        the arena, so the next replay cannot clobber it.
+        the arena, so the next replay cannot clobber it.  Safe to call
+        from several threads: runs of one graph take turns on its arena.
         """
         # Replay must see the same memory layout capture saw (reduction
         # order follows layout); non-contiguous callers pay one copy.
@@ -900,8 +526,12 @@ class CompiledGraph:
                     f"parameter signature changed since capture: got "
                     f"{param.data.shape} {param.data.dtype}, compiled for {shape} {dtype}"
                 )
+        with self._lock:
+            return self._run_locked(arrays)
+
+    def _run_locked(self, arrays: list[np.ndarray]) -> np.ndarray:
         profiler = _profiler._ACTIVE
-        slots = self._slots
+        slots: list = [None] * self.trace.num_slots
         params = self.params
         for slot, array in zip(self.trace.inputs, arrays):
             slots[slot] = array
@@ -928,10 +558,10 @@ class CompiledGraph:
             else:
                 value = kernel(*args, out=out, **kwargs)
             if not isinstance(value, np.ndarray):
-                # Full reductions return numpy scalars; eager wraps them
-                # into 0-d arrays (Tensor.__init__), so replay must too
-                # or a downstream kernel would re-coerce their dtype.
-                value = np.asarray(value)
+                # ``(output, *saved)`` from a kernel whose backward reuses
+                # intermediates; or a full reduction's numpy scalar, kept
+                # 0-d as tensor._forward keeps it.
+                value = value[0] if isinstance(value, tuple) else np.asarray(value)
             if profiler is not None:
                 profiler.record_replay(
                     step.op, seconds, 0 if step.alias_of is not None else value.nbytes
@@ -950,8 +580,6 @@ class CompiledGraph:
         # never arena-assigned) and can be handed over as is.
         if result.base is not None or not result.flags.owndata:
             result = result.copy()
-        for slot in range(len(slots)):
-            slots[slot] = None
         return result
 
     def _build_exec(self) -> list:
@@ -965,7 +593,7 @@ class CompiledGraph:
         """
         plan = []
         static = (_VALUE, _CONST)
-        for step, kernel in zip(self.steps, self._kernels):
+        for step in self.steps:
             template: list = []
             arg_fills: list[tuple[int, tuple]] = []
             for position, ref in enumerate(step.args):
@@ -982,7 +610,7 @@ class CompiledGraph:
                 else:
                     kw_fills.append((key, ref))
             out = self._out_view(step.out, step.shape, step.dtype, step.strides)
-            plan.append((kernel, template, arg_fills, kw_static, kw_fills, out, step))
+            plan.append((step.kernel, template, arg_fills, kw_static, kw_fills, out, step))
         return plan
 
     @staticmethod
@@ -1103,7 +731,7 @@ def capture_compiled(
     ``validate=True`` replays the compiled graph on *perturbed* inputs
     and requires bit-identity with an eager pass — this catches both
     data-dependent constants accidentally baked into the trace and any
-    kernel that fails exact parity on this platform.
+    kernel whose ``out=`` form rounds differently on this platform.
     """
     try:
         trace = capture(fn, inputs)
@@ -1136,6 +764,10 @@ def capture_compiled(
     return graph
 
 
+#: ``GraphCache`` lookup sentinel (``None`` is the eager-only verdict).
+_MISSING = object()
+
+
 class GraphCache:
     """Per-model cache of compiled inference graphs, keyed by input signature.
 
@@ -1143,64 +775,89 @@ class GraphCache:
     the caller should execute eagerly (compilation disabled, capture
     failed validation, or a replay guard tripped).  A failed capture is
     remembered per key so the eager fallback costs one dict lookup.
+    Threads may share one cache: its entries and counters sit behind a
+    lock, and captures happen outside it.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
         self.max_entries = max_entries
         self._entries: dict[tuple, CompiledGraph | None] = {}
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.fallbacks = 0
+
+    def __getstate__(self) -> dict:
+        # A copied model (e.g. a momentum encoder) captures its own graphs
+        # on first use; locks and arena buffers do not copy.
+        state = dict(self.__dict__, _entries={})
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
 
     def run(self, fn: Callable[[Tensor], Tensor], array: np.ndarray) -> np.ndarray | None:
         """Replay ``fn`` on ``array`` via the cached graph for its bucket.
 
         Captures + compiles on first sight of a ``(shape, dtype)``
-        bucket (counted as a miss; LRU-evicting past ``max_entries``),
-        replays on later calls (counted as hits).  Returns ``None``
-        whenever the caller must run eager instead: compilation
-        disabled, an outer capture in progress, the bucket validated
-        as eager-only, or a :class:`ReplayGuard` fallback.
+        bucket (counted as a miss; evicting the least recently used
+        bucket past ``max_entries``), replays on later calls (counted
+        as hits).  Returns ``None`` whenever the caller must run eager
+        instead: compilation disabled, a capture in progress on this
+        thread, the bucket validated as eager-only, or a
+        :class:`ReplayGuard` fallback.
         """
-        if not compile_enabled() or _tensor._TRACER is not None:
+        if not compile_enabled() or _tensor._CAPTURE.tracer is not None:
             return None
         key = (array.shape, array.dtype.str)
-        fresh = key not in self._entries
+        with self._lock:
+            graph = self._entries.pop(key, _MISSING)
+            fresh = graph is _MISSING
+            if fresh:
+                self.misses += 1
+            else:
+                self._entries[key] = graph  # re-inserted last: most recently used
         if fresh:
-            self.misses += 1
-            if len(self._entries) >= self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = capture_compiled(fn, [array])
-        graph = self._entries[key]
-        if graph is None:
-            self.fallbacks += 1
-            return None
-        try:
-            result = graph.run([array])
-        except ReplayGuard:
-            self.fallbacks += 1
-            return None
-        if not fresh:
-            self.hits += 1
+            graph = capture_compiled(fn, [array])
+            with self._lock:
+                self._entries.pop(key, None)
+                if len(self._entries) >= self.max_entries:
+                    self._entries.pop(next(iter(self._entries)))
+                self._entries[key] = graph
+        result = None
+        if graph is not None:
+            try:
+                result = graph.run([array])
+            except ReplayGuard:
+                pass
+        with self._lock:
+            if result is None:
+                self.fallbacks += 1
+            elif not fresh:
+                self.hits += 1
         return result
 
     def graphs(self) -> list[CompiledGraph]:
         """The currently cached compiled graphs (eager sentinels excluded)."""
-        return [g for g in self._entries.values() if g is not None]
+        with self._lock:
+            return [g for g in self._entries.values() if g is not None]
 
     def clear(self) -> None:
         """Drop every cached graph (weights reloaded, model mutated)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def stats(self) -> dict:
         """JSON-able cache counters plus per-graph summaries."""
+        graphs = self.graphs()
         return {
             "entries": len(self._entries),
-            "compiled": len(self.graphs()),
+            "compiled": len(graphs),
             "hits": self.hits,
             "misses": self.misses,
             "fallbacks": self.fallbacks,
-            "graphs": [g.stats() for g in self.graphs()],
+            "graphs": [g.stats() for g in graphs],
         }
 
     def __len__(self) -> int:

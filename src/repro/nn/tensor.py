@@ -16,12 +16,14 @@ Design notes
   upstream gradient back to the shape of the operand it belongs to.
 * Graph recording can be suspended with the :func:`no_grad` context
   manager, which training loops use for evaluation passes.
+* Every node-creating op computes its output with one forward kernel
+  (:func:`_forward`); compiled replay (:mod:`repro.nn.graph`) calls
+  the same kernel, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 import time
 from typing import Callable, Iterable, Sequence
@@ -51,18 +53,51 @@ class _GradMode(threading.local):
 
 _GRAD_MODE = _GradMode()
 
-#: The active graph tracer installed by :mod:`repro.nn.graph` during a
-#: capture (one at a time, like the profiler's ``_ACTIVE``).  ``None``
-#: keeps every op wrapper on the zero-overhead fast path.
-_TRACER = None
+class _Capture(threading.local):
+    """Per-thread capture hook: the tracer :mod:`repro.nn.graph` installs
+    while *this* thread captures.  ``None`` keeps every op on the fast
+    path, and another thread's ops are never recorded into the trace."""
+
+    tracer = None
+
+
+_CAPTURE = _Capture()
 
 
 def _set_tracer(tracer):
-    """Install ``tracer`` as the active capture hook; returns the previous one."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
+    """Install ``tracer`` as this thread's capture hook; returns the previous one."""
+    previous = _CAPTURE.tracer
+    _CAPTURE.tracer = tracer
     return previous
+
+
+def _unwrap(value):
+    if isinstance(value, Tensor):
+        return value.data
+    if isinstance(value, list):
+        return [_unwrap(item) for item in value]  # concatenate / stack operands
+    return value
+
+
+def _forward(kernel, *args, **kwargs):
+    """Compute an op's output with its forward kernel.
+
+    A kernel is ``kernel(*arrays, ..., out=None)``: the eager op calls it
+    here with ``out=None``, and compiled replay calls the very same
+    function with an arena view, so the two agree bit for bit by
+    construction.  Tensor arguments reach the kernel as their ``.data``.
+    A kernel returns its output array, or ``(output, *saved)`` when the
+    op's backward reuses forward intermediates (only valid for
+    ``out=None``).  While this thread captures, the call is recorded as
+    one trace step.
+    """
+    result = kernel(*[_unwrap(a) for a in args], **kwargs)
+    if isinstance(result, np.generic):
+        result = np.asarray(result)  # full reductions: 0-d, as Tensor() stores them
+    tracer = _CAPTURE.tracer
+    if tracer is not None:
+        tracer._record(kernel, args, kwargs, result[0] if isinstance(result, tuple) else result)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +138,11 @@ def registered_op(name: str, differentiable: bool = True):
     Every function or method that calls :meth:`Tensor._make` must be
     decorated (the harness cross-checks the source to enforce this);
     ``differentiable=False`` marks ops recorded for completeness that
-    do not propagate gradients.
+    do not propagate gradients.  Registration is bookkeeping only: the
+    function is returned unchanged.  Graph capture does not see ops, it
+    sees the forward-kernel calls they make (:func:`_forward`), so a
+    composite (``sub``, ``mean``, ``cross_entropy``, ...) is captured as
+    the primitive steps it runs.
     """
 
     def decorate(fn):
@@ -115,22 +154,7 @@ def registered_op(name: str, differentiable: bool = True):
             module=fn.__module__,
             differentiable=differentiable,
         )
-
-        # The wrapper is the capture hook of repro.nn.graph: when a
-        # tracer is installed it records the *outermost* registered op
-        # (name, arguments, output) and lets composites (sub, mean,
-        # cross_entropy, ...) execute their inner ops unrecorded, so a
-        # trace step maps 1:1 to a replay kernel.  functools.wraps
-        # keeps __qualname__/__wrapped__ intact for the coverage scans
-        # in repro.testing.gradcheck.
-        @functools.wraps(fn)
-        def op_wrapper(*args, **kwargs):
-            tracer = _TRACER
-            if tracer is None or tracer._depth:
-                return fn(*args, **kwargs)
-            return tracer._traced_call(name, fn, args, kwargs)
-
-        return op_wrapper
+        return fn
 
     return decorate
 
@@ -168,6 +192,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+# ----------------------------------------------------------------------
+# Forward kernels without a numpy function of their own (see _forward);
+# the rest of this module's ops pass numpy's ufuncs and reductions.
+# ----------------------------------------------------------------------
+def _pow(a, exponent, *, out=None):
+    # ``**`` takes numpy's square / sqrt / reciprocal fast paths for 2,
+    # 0.5 and -1; it has no ``out=`` form, so ``out`` is unused.
+    return a**exponent
+
+
+def _reshape(a, shape, *, out=None):
+    return a.reshape(shape)
+
+
+def _transpose(a, axes, *, out=None):
+    return a.transpose(axes)
+
+
+def _swapaxes(a, axis1, axis2, *, out=None):
+    return np.swapaxes(a, axis1, axis2)
+
+
+def _astype(a, dtype, *, out=None):
+    return a.astype(dtype)
+
+
+def _getitem(a, index, *, out=None):
+    return a[index]
 
 
 class Tensor:
@@ -221,11 +275,12 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._freed = False
         self.name = name
-        if _TRACER is not None:
+        tracer = _CAPTURE.tracer
+        if tracer is not None:
             # Leaves born mid-capture are constants of the trace (their
             # data is baked by value); pre-existing tensors are recorded
             # by reference instead.  See repro.nn.graph.Tracer.
-            _TRACER._note_leaf(self)
+            tracer._note_leaf(self)
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -292,7 +347,12 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create a graph node whose gradient flows to ``parents``."""
+        """Create a graph node whose gradient flows to ``parents``.
+
+        ``data`` must be what the op's forward kernel returned through
+        :func:`_forward`, untouched: that call is what replay re-runs.
+        A node made any other way refuses graph capture by the op's name.
+        """
         profiler = _profiler._ACTIVE
         if profiler is not None:
             profiler.record_make(backward.__code__, data.nbytes)
@@ -302,6 +362,9 @@ class Tensor:
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
+        tracer = _CAPTURE.tracer
+        if tracer is not None:
+            tracer._bind(out, backward)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -420,7 +483,7 @@ class Tensor:
     @registered_op("add")
     def __add__(self, other) -> "Tensor":
         other = self._operand(other)
-        out_data = self.data + other.data
+        out_data = _forward(np.add, self, other)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
@@ -435,7 +498,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return Tensor._make(-self.data, (self,), backward)
+        return Tensor._make(_forward(np.negative, self), (self,), backward)
 
     @registered_op("sub")
     def __sub__(self, other) -> "Tensor":
@@ -447,7 +510,7 @@ class Tensor:
     @registered_op("mul")
     def __mul__(self, other) -> "Tensor":
         other = self._operand(other)
-        out_data = self.data * other.data
+        out_data = _forward(np.multiply, self, other)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * other.data)
@@ -460,7 +523,7 @@ class Tensor:
     @registered_op("truediv")
     def __truediv__(self, other) -> "Tensor":
         other = self._operand(other)
-        out_data = self.data / other.data
+        out_data = _forward(np.divide, self, other)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / other.data)
@@ -475,7 +538,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
+        out_data = _forward(_pow, self, exponent)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
@@ -485,7 +548,7 @@ class Tensor:
     @registered_op("matmul")
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data @ other.data
+        out_data = _forward(np.matmul, self, other)
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
@@ -538,7 +601,7 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         original = self.data.shape
-        out_data = self.data.reshape(shape)
+        out_data = _forward(_reshape, self, shape)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
@@ -553,7 +616,7 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
-        out_data = self.data.transpose(axes)
+        out_data = _forward(_transpose, self, axes)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
@@ -570,7 +633,7 @@ class Tensor:
         dtype = np.dtype(dtype)
         if self.data.dtype == dtype:
             return self
-        out_data = self.data.astype(dtype)
+        out_data = _forward(_astype, self, dtype)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
@@ -580,7 +643,7 @@ class Tensor:
     @registered_op("swapaxes")
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         """Swap two axes; differentiable."""
-        out_data = np.swapaxes(self.data, axis1, axis2)
+        out_data = _forward(_swapaxes, self, axis1, axis2)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.swapaxes(grad, axis1, axis2))
@@ -591,7 +654,7 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         if isinstance(index, Tensor):
             index = index.data.astype(np.int64)
-        out_data = self.data[index]
+        out_data = _forward(_getitem, self, index)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
@@ -606,7 +669,7 @@ class Tensor:
     @registered_op("sum")
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all axes by default); differentiable."""
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = _forward(np.sum, self, axis=axis, keepdims=keepdims)
         shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
@@ -636,7 +699,7 @@ class Tensor:
     @registered_op("max")
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``; gradient splits evenly across ties."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        out_data = _forward(np.max, self, axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -656,7 +719,7 @@ class Tensor:
     @registered_op("exp")
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data = np.exp(self.data)
+        out_data = _forward(np.exp, self)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
@@ -666,7 +729,7 @@ class Tensor:
     @registered_op("log")
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out_data = np.log(self.data)
+        out_data = _forward(np.log, self)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
@@ -676,7 +739,7 @@ class Tensor:
     @registered_op("sqrt")
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        out_data = np.sqrt(self.data)
+        out_data = _forward(np.sqrt, self)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 0.5 / out_data)
@@ -686,7 +749,7 @@ class Tensor:
     @registered_op("tanh")
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data = np.tanh(self.data)
+        out_data = _forward(np.tanh, self)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data**2))
@@ -696,7 +759,7 @@ class Tensor:
     @registered_op("abs")
     def abs(self) -> "Tensor":
         """Elementwise absolute value (sign subgradient)."""
-        out_data = np.abs(self.data)
+        out_data = _forward(np.abs, self)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * np.sign(self.data))
@@ -706,7 +769,7 @@ class Tensor:
     @registered_op("clip")
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp to [low, high]; gradient passes only inside the range."""
-        out_data = np.clip(self.data, low, high)
+        out_data = _forward(np.clip, self, low, high)
 
         def backward(grad: np.ndarray) -> None:
             inside = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
@@ -724,7 +787,7 @@ def as_tensor(value) -> Tensor:
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out_data = _forward(np.concatenate, tensors, axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -741,7 +804,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient routing."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
+    out_data = _forward(np.stack, tensors, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         pieces = np.split(grad, len(tensors), axis=axis)
@@ -751,12 +814,16 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tensors, backward)
 
 
+def _where(condition, a, b, *, out=None):
+    return np.where(condition, a, b)
+
+
 @registered_op("where")
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select ``a`` where ``condition`` else ``b``."""
     a, b = as_tensor(a), as_tensor(b)
     condition = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    out_data = np.where(condition, a.data, b.data)
+    out_data = _forward(_where, condition, a, b)
 
     def backward(grad: np.ndarray) -> None:
         a._accumulate(grad * condition)

@@ -40,7 +40,6 @@ from .invariants import INVARIANTS, InvariantResult, invariant, run_invariants
 from .replay import (
     ReplayParityFailure,
     ReplayResult,
-    assert_replay_coverage,
     replay_coverage_problems,
     run_replay_sweep,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ReplayParityFailure",
     "ReplayResult",
     "replay_coverage_problems",
-    "assert_replay_coverage",
     "run_replay_sweep",
     "INVARIANTS",
     "InvariantResult",

@@ -2,17 +2,17 @@
 
 The compiled engine (:mod:`repro.nn.graph`) promises that replaying a
 captured graph produces the *same bits* as the eager tensor path — not
-merely close values.  This module enforces that promise op by op,
-reusing the :data:`repro.testing.gradcheck.OP_CHECKS` case table so
-every registered op is exercised through capture → compile → replay
-and compared exactly against its eager output.
+merely close values.  Eager ops and replay call one forward kernel per
+op, so that holds by construction; this module checks it end to end,
+op by op, reusing the :data:`repro.testing.gradcheck.OP_CHECKS` case
+table so every registered op is exercised through capture → compile →
+replay and compared exactly against its eager output.
 
-Coverage is closed-world, mirroring :func:`gradcheck.assert_full_coverage`:
-an op registered in ``OP_REGISTRY`` without a replay kernel (and not
-declared in :data:`repro.nn.graph.EAGER_ONLY_OPS`), or a kernel for an
-op that no longer exists, fails the sweep **by that op's name**.
-Eager-only ops are instead asserted to *refuse* capture, so a
-nondeterministic op can never silently enter a compiled graph.
+A case that refuses capture is reported as eager-only, but only when
+the :class:`~repro.nn.graph.TraceError` names that case's own op (an op
+making a graph node without a forward kernel, like training-mode
+dropout); any other refusal fails the sweep by the op's name.  A
+registered op without a parity case fails the sweep by name too.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "ReplayParityFailure",
     "ReplayResult",
     "replay_coverage_problems",
-    "assert_replay_coverage",
     "run_replay_sweep",
 ]
 
@@ -62,31 +61,10 @@ class ReplayResult:
 # ----------------------------------------------------------------------
 def replay_coverage_problems() -> list[str]:
     """Human-readable coverage holes, each naming the offending ops."""
-    problems = []
-    missing = graph.missing_replay_kernels()
-    if missing:
-        problems.append(
-            "registered ops with neither a replay kernel nor an "
-            "EAGER_ONLY_OPS entry: " + ", ".join(missing)
-        )
-    stale = graph.stale_replay_kernels()
-    if stale:
-        problems.append("replay kernels for unknown ops: " + ", ".join(stale))
-    uncased = sorted(
-        name
-        for name in OP_REGISTRY
-        if name not in OP_CHECKS and name not in graph.EAGER_ONLY_OPS
-    )
+    uncased = sorted(name for name in OP_REGISTRY if name not in OP_CHECKS)
     if uncased:
-        problems.append("replayable ops without a parity case: " + ", ".join(uncased))
-    return problems
-
-
-def assert_replay_coverage() -> None:
-    """Raise naming every op missing from the replay contract, if any."""
-    problems = replay_coverage_problems()
-    if problems:
-        raise AssertionError("; ".join(problems))
+        return ["replayable ops without a parity case: " + ", ".join(uncased)]
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +82,10 @@ def _check_case(op_name: str, case: OpCase, dtype: str) -> ReplayResult:
     try:
         trace = graph.capture(positional, arrays)
     except graph.TraceError as err:
+        if err.op == op_name:
+            # The op itself has no forward kernel: it refused by name,
+            # so it can never enter a compiled graph.
+            return ReplayResult(op_name, case.name, dtype, eager_only=True)
         raise ReplayParityFailure(
             f"[op={op_name}] case {case.name!r} [{dtype}] refused capture: {err}"
         ) from err
@@ -126,24 +108,6 @@ def _check_case(op_name: str, case: OpCase, dtype: str) -> ReplayResult:
     )
 
 
-def _check_eager_only(op_name: str, case: OpCase, dtype: str) -> ReplayResult:
-    """An eager-only op must refuse capture, never replay wrongly."""
-    names = sorted(case.arrays)
-    arrays = [np.ascontiguousarray(case.arrays[n].astype(dtype)) for n in names]
-
-    def positional(*tensors: Tensor) -> Tensor:
-        return case.fn(dict(zip(names, tensors)))
-
-    try:
-        trace = graph.capture(positional, arrays)
-    except graph.TraceError:
-        return ReplayResult(op_name, case.name, dtype, eager_only=True)
-    raise ReplayParityFailure(
-        f"[op={op_name}] case {case.name!r} [{dtype}] is declared eager-only "
-        f"but was captured as {len(trace.steps)} steps"
-    )
-
-
 def run_replay_sweep(
     dtypes: Iterable[str] = ("float32", "float64"),
     ops: Iterable[str] | None = None,
@@ -151,18 +115,17 @@ def run_replay_sweep(
     """Capture/compile/replay every covered op; compare bits with eager.
 
     Raises :class:`ReplayParityFailure` (carrying the op's name) on the
-    first mismatch, and :class:`AssertionError` if the replay contract
-    has coverage holes — so the sweep can never pass a registry whose
-    ops could silently fall back or, worse, replay wrong values.
+    first mismatch, and :class:`AssertionError` if a registered op has
+    no parity case — so the sweep can never pass a registry whose ops
+    could silently fall back or, worse, replay wrong values.
     """
-    assert_replay_coverage()
+    problems = replay_coverage_problems()
+    if problems:
+        raise AssertionError("; ".join(problems))
     selected = sorted(ops) if ops is not None else sorted(OP_CHECKS)
     results: list[ReplayResult] = []
     for op_name in selected:
-        checker = (
-            _check_eager_only if op_name in graph.EAGER_ONLY_OPS else _check_case
-        )
         for case in OP_CHECKS[op_name]:
             for dtype in dtypes:
-                results.append(checker(op_name, case, dtype))
+                results.append(_check_case(op_name, case, dtype))
     return results

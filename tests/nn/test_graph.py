@@ -193,6 +193,15 @@ class TestGraphCache:
             cache.run(_mlp_like, _inputs((n, 4))[0])
         assert len(cache) == 2
 
+    def test_hit_refreshes_lru_order(self):
+        cache = graph.GraphCache(max_entries=2)
+        a, b, c = (_inputs((n, 4))[0] for n in (2, 3, 4))
+        for x in (a, b, a, c):  # c evicts b, the least recently used
+            assert cache.run(_mlp_like, x) is not None
+        assert cache.misses == 3
+        assert cache.run(_mlp_like, a) is not None
+        assert cache.misses == 3 and cache.hits == 2
+
 
 class TestProfilerIntegration:
     def test_replay_stats_recorded(self):

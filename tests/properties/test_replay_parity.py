@@ -2,10 +2,9 @@
 
 This is the enforcement point for the compiled-engine contract
 (:mod:`repro.nn.graph`): every registered op must either replay
-bit-identically through capture → compile → run, or be declared
-eager-only and *refuse* capture.  An op added to the registry without
-a replay kernel makes this module fail **by the op's name** — exactly
-mirroring the gradcheck coverage sweep in ``test_op_coverage.py``.
+bit-identically through capture → compile → run, or refuse capture by
+its own name because it makes a graph node without a forward kernel.
+Only training-mode dropout may do the latter.
 """
 
 from __future__ import annotations
@@ -14,21 +13,13 @@ import numpy as np
 import pytest
 
 from repro.nn import graph
-from repro.nn.tensor import OP_REGISTRY, OpInfo
-from repro.testing import (
-    assert_replay_coverage,
-    replay_coverage_problems,
-    run_replay_sweep,
-)
+from repro.nn.tensor import OP_REGISTRY, Tensor, registered_op
+from repro.testing import replay_coverage_problems, run_replay_sweep
 
 
 def test_replay_contract_is_fully_covered():
-    """Every registered op has a kernel or an eager-only declaration."""
-    assert graph.missing_replay_kernels() == []
-    assert graph.stale_replay_kernels() == []
+    """Every registered op has a parity case."""
     assert replay_coverage_problems() == []
-    assert_replay_coverage()
-    graph.assert_replay_coverage()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -36,45 +27,33 @@ def test_full_replay_sweep(dtype):
     """All cases of every op replay bit-identically (or refuse capture)."""
     results = run_replay_sweep(dtypes=(dtype,))
     assert {result.op for result in results} == set(OP_REGISTRY)
+    assert {result.op for result in results if result.eager_only} == {"dropout"}
     for result in results:
-        if result.op in graph.EAGER_ONLY_OPS:
-            assert result.eager_only
-        else:
+        if not result.eager_only:
             assert result.steps >= 1
 
 
-def test_unknown_op_fails_by_name():
-    """A new op without a replay kernel is reported by its own name."""
-    fake = OpInfo(
-        name="frobnicate",
-        qualname="Tensor.frobnicate",
-        module="repro.nn.tensor",
-        differentiable=True,
-    )
-    OP_REGISTRY["frobnicate"] = fake
+def frobnicate(x: Tensor) -> Tensor:
+    """A node-creating op with no forward kernel (registered per test)."""
+
+    def backward(grad: np.ndarray) -> None:  # pragma: no cover - never run
+        x._accumulate(grad)
+
+    return Tensor._make(x.data * 2.0, (x,), backward)
+
+
+def test_op_without_kernel_refuses_capture_by_name():
+    """An op that calls ``Tensor._make`` without a forward kernel refuses
+    capture, and the error names the op; it is never baked as a value."""
+    registered_op("frobnicate")(frobnicate)
     try:
-        assert "frobnicate" in graph.missing_replay_kernels()
-        problems = replay_coverage_problems()
-        assert any("frobnicate" in p for p in problems)
-        with pytest.raises(AssertionError, match="frobnicate"):
-            run_replay_sweep()
+        x = np.linspace(-1, 1, 6).reshape(2, 3).astype(np.float32)
+        with pytest.raises(graph.TraceError, match="frobnicate") as info:
+            graph.capture(lambda t: frobnicate(t + 1.0), [x])
+        assert info.value.op == "frobnicate"
+        assert graph.GraphCache().run(lambda t: frobnicate(t + 1.0), x) is None
     finally:
         del OP_REGISTRY["frobnicate"]
-
-
-def test_stale_kernel_fails_by_name():
-    """A kernel for a deregistered op is reported by name."""
-
-    @graph.replay_kernel("vanished_op")
-    def _k(a, *, out=None):  # pragma: no cover - never executed
-        return a
-
-    try:
-        assert "vanished_op" in graph.stale_replay_kernels()
-        with pytest.raises(AssertionError, match="vanished_op"):
-            graph.assert_replay_coverage()
-    finally:
-        del graph.REPLAY_KERNELS["vanished_op"]
 
 
 def test_dropout_refuses_capture_in_training_mode():
