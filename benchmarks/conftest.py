@@ -1,7 +1,9 @@
 """Shared infrastructure for the paper-regeneration benchmarks.
 
 Each benchmark regenerates one table or figure of the paper and writes
-its rendering to ``benchmarks/results/``.  All benchmarks share one
+its rendering to ``benchmarks/results/`` (the committed ``fast``
+renderings EXPERIMENTS.md quotes) or, for any other preset, to the
+gitignored ``benchmarks/results-<preset>/``.  All benchmarks share one
 :class:`ExperimentRunner` (session scope) so runs are computed once
 and reused — e.g. Figure 4's ranks come from the same sweep as
 Table 2, exactly as in the paper.
@@ -23,7 +25,8 @@ import pytest
 
 from repro.experiments import FAST, STANDARD, ExperimentConfig, ExperimentRunner
 
-RESULTS_DIR = Path(__file__).parent / "results"
+PRESET = os.environ.get("REPRO_BENCH_PRESET", "fast")
+RESULTS_DIR = Path(__file__).parent / ("results" if PRESET == "fast" else f"results-{PRESET}")
 
 _MICRO = FAST.with_(
     seeds=(0, 1),
@@ -43,12 +46,11 @@ _PRESETS: dict[str, ExperimentConfig] = {
 
 @pytest.fixture(scope="session")
 def bench_config() -> ExperimentConfig:
-    name = os.environ.get("REPRO_BENCH_PRESET", "fast")
     try:
-        return _PRESETS[name]
+        return _PRESETS[PRESET]
     except KeyError:
         raise KeyError(
-            f"REPRO_BENCH_PRESET={name!r} unknown; choose from {sorted(_PRESETS)}"
+            f"REPRO_BENCH_PRESET={PRESET!r} unknown; choose from {sorted(_PRESETS)}"
         ) from None
 
 
@@ -58,6 +60,6 @@ def runner(bench_config) -> ExperimentRunner:
 
 
 def record(name: str, rendering: str) -> None:
-    """Persist a table/figure rendering under benchmarks/results/."""
+    """Persist a table/figure rendering under :data:`RESULTS_DIR`."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.md").write_text(rendering + "\n")

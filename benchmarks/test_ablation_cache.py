@@ -9,14 +9,11 @@ wall-clock time — same accuracy, very different cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.adapters import make_adapter
 from repro.data import load_dataset
 from repro.evaluation import render_table
 from repro.models import build_model
 from repro.training import AdapterPipeline, FineTuneStrategy, TrainConfig
-
 
 from .conftest import record
 

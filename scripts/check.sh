@@ -10,9 +10,9 @@
 #                   scenario against ./goldens
 #   5. nn smoke     fused-op gradchecks, the replay-parity sweep
 #                   (eager vs compiled bit-identity for every
-#                   registered op), the two graph threading properties
-#                   (capture beside another thread, concurrent
-#                   replays), and the tiny dtype/replay bench
+#                   registered op), the two Hypothesis graph threading
+#                   properties (capture beside another thread,
+#                   concurrent replays), and the tiny dtype/replay bench
 #   6. chaos smoke  seeded SIGKILL-at-a-point + resume over a scripted
 #                   grid: the journal/lease layer must converge to the
 #                   reference results with zero re-executed done jobs
@@ -30,12 +30,16 @@
 #                   encode_long batch_windows and the fit-time fill,
 #                   plus the measured-vs-predicted peak-memory bound
 #                   for chunked long-series encoding (< 30 s)
+#   9. paper benches the 18 paper-regeneration benches (tables,
+#                   figures, ablations, report) on the micro preset,
+#                   rendering to the gitignored benchmarks/results-micro/
+#                   (~1 min)
 #
 # Usage: scripts/check.sh [extra pytest args...]
 #
 # With arguments, tiers 2-3 collapse into one pytest run forwarding the
 # arguments (e.g. `scripts/check.sh tests/exec -q` for one subtree);
-# lint, selfcheck and the nn smoke always run.
+# lint and tiers 4-9 always run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,3 +120,11 @@ python -m pytest "tests/properties/test_stream_parity.py::TestStreamOfflineParit
                  tests/properties/test_tile_contract.py::TestStreamWidth \
                  tests/properties/test_tile_contract.py::TestFitFill \
                  "tests/stream/test_memory_bound.py::test_peak_memory_within_cost_model_bound" -q
+
+# Paper-regeneration gate: every table/figure bench end to end on the
+# micro grid (3 datasets, 2 seeds), so a change that breaks a rendering
+# or a paper-shape assertion fails here rather than in a 20-minute
+# `fast` run.  Renderings go to benchmarks/results-micro/, leaving the
+# committed `fast` renderings in benchmarks/results/ untouched.
+echo "== paper benches (micro) =="
+REPRO_BENCH_PRESET=micro python -m pytest benchmarks/ --benchmark-only -q

@@ -1,9 +1,8 @@
-"""Property-based verification harness for the repro stack.
+"""Verification harness for the repro stack.
 
-Five layers, all dependency-free (see ``docs/testing.md``):
+Four layers, all dependency-free (see ``docs/testing.md``); the
+property tests that sweep drawn inputs use Hypothesis, under ``tests/``:
 
-* :mod:`repro.testing.strategies` — seeded value generators with
-  shrinking and a Hypothesis-style :func:`given` decorator;
 * :mod:`repro.testing.gradcheck` — a finite-difference engine plus the
   op-coverage sweep over the ``Tensor`` op registry;
 * :mod:`repro.testing.replay` — the compiled-replay parity sweep:
@@ -43,34 +42,8 @@ from .replay import (
     replay_coverage_problems,
     run_replay_sweep,
 )
-from .strategies import (
-    Falsified,
-    Strategy,
-    arrays,
-    broadcastable_pairs,
-    floats,
-    given,
-    integers,
-    job_specs,
-    labeled_datasets,
-    sampled_from,
-    series_batches,
-    shapes,
-)
 
 __all__ = [
-    "Strategy",
-    "Falsified",
-    "given",
-    "integers",
-    "floats",
-    "sampled_from",
-    "shapes",
-    "arrays",
-    "broadcastable_pairs",
-    "series_batches",
-    "labeled_datasets",
-    "job_specs",
     "GradcheckFailure",
     "GradcheckResult",
     "OpCase",

@@ -23,7 +23,7 @@ def series_and_channels(draw):
     return x, d_out
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(series_and_channels(), st.sampled_from(FITTED_ADAPTERS))
 def test_output_shape_invariant(data, name):
     x, d_out = data
@@ -31,7 +31,7 @@ def test_output_shape_invariant(data, name):
     assert out.shape == (x.shape[0], x.shape[1], d_out)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(series_and_channels(), st.sampled_from(FITTED_ADAPTERS))
 def test_transform_is_deterministic(data, name):
     x, d_out = data
@@ -39,7 +39,7 @@ def test_transform_is_deterministic(data, name):
     np.testing.assert_array_equal(adapter.transform(x), adapter.transform(x))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(series_and_channels(), st.sampled_from(["svd", "rand_proj", "var"]))
 def test_uncentered_adapters_are_linear(data, name):
     """T(a*x + b*y) == a*T(x) + b*T(y) for linear (uncentered) adapters."""
@@ -51,7 +51,7 @@ def test_uncentered_adapters_are_linear(data, name):
     np.testing.assert_allclose(combined, separate, atol=1e-8)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(series_and_channels())
 def test_pca_transform_affine(data):
     """PCA is affine: differences transform linearly (mean cancels)."""
@@ -63,7 +63,7 @@ def test_pca_transform_affine(data):
     np.testing.assert_allclose(diff.reshape(-1, d_out), lin, atol=1e-8)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(series_and_channels(), st.sampled_from(FITTED_ADAPTERS))
 def test_transform_finite(data, name):
     x, d_out = data
@@ -71,7 +71,7 @@ def test_transform_finite(data, name):
     assert np.isfinite(out).all()
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(series_and_channels())
 def test_full_rank_pca_preserves_distances(data):
     """With D' == D, PCA is a rotation: pairwise distances preserved."""

@@ -12,14 +12,30 @@ import numpy as np
 import pytest
 
 from repro.baselines import DTW1NNClassifier, RidgeClassifier, RocketClassifier, dtw_distance
-from repro.testing import labeled_datasets
 
 
 def _separable_batch(seed: int = 0):
-    """A clearly class-separable (x, y) batch from the harness strategy."""
+    """A clearly class-separable (x, y) batch drawn from ``seed``.
+
+    2-3 classes of 3-6 series each, ``T`` in 8-16, ``D`` in 2-6; each
+    class is a distinct multi-channel sinusoid plus Gaussian noise.
+    """
     rng = np.random.default_rng(seed)
-    x, y = labeled_datasets(max_classes=3, max_per_class=6).example(rng)
-    return x, y
+    classes = int(rng.integers(2, 4))
+    per_class = int(rng.integers(3, 7))
+    t = int(rng.integers(8, 17))
+    d = int(rng.integers(2, 7))
+    time = np.linspace(0.0, 1.0, t)
+    frequencies = rng.uniform(1.0, 5.0, size=classes)
+    mixing = rng.normal(size=(classes, d))
+    xs, ys = [], []
+    for label in range(classes):
+        clean = np.sin(2 * np.pi * frequencies[label] * time)[:, None] * mixing[label]
+        xs.append(clean + 0.2 * rng.normal(size=(per_class, t, d)))
+        ys.append(np.full(per_class, label, dtype=np.int64))
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    order = rng.permutation(len(y))
+    return x[order], y[order]
 
 
 class TestRidge:

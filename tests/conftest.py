@@ -6,6 +6,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# One property-test profile for the whole suite: derandomized, so every
+# run draws the same examples (a failure reproduces by rerunning, and
+# hypothesis prints the falsifying example), with no example database
+# and no per-example deadline (model-building properties take seconds).
+settings.register_profile("repro", derandomize=True, database=None, deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(autouse=True)

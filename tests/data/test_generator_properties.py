@@ -16,7 +16,7 @@ SMALL_DATASETS = [
 ]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.sampled_from(SMALL_DATASETS), st.integers(0, 50))
 def test_sample_geometry_matches_registry(name, seed):
     info = dataset_info(name)
@@ -27,7 +27,7 @@ def test_sample_geometry_matches_registry(name, seed):
     assert np.isfinite(x).all()
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.sampled_from(SMALL_DATASETS), st.integers(0, 20))
 def test_generation_is_deterministic(name, seed):
     info = dataset_info(name)
@@ -37,7 +37,7 @@ def test_generation_is_deterministic(name, seed):
         np.testing.assert_array_equal(left, right)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, 20), st.integers(21, 40))
 def test_different_seeds_give_different_data(seed_a, seed_b):
     info = dataset_info("NATOPS")
@@ -46,7 +46,7 @@ def test_different_seeds_give_different_data(seed_a, seed_b):
     assert not np.array_equal(x_a, x_b)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.sampled_from(SMALL_DATASETS), st.integers(0, 20))
 def test_every_class_present_in_train(name, seed):
     info = dataset_info(name)
@@ -54,7 +54,7 @@ def test_every_class_present_in_train(name, seed):
     assert len(np.unique(y_train)) == info.num_classes
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, 30))
 def test_train_and_test_share_class_structure(seed):
     """Class centroids of the train and test splits must correlate —

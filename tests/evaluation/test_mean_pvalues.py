@@ -68,7 +68,7 @@ class TestSemantics:
         assert matrix[0, 1] == 1.0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 10_000))
 def test_property_matrix_valid_for_random_inputs(seed):
     rng = np.random.default_rng(seed)

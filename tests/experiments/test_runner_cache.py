@@ -9,9 +9,9 @@ numerically identical to the store-less path for a fixed seed.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.exec import JobSpec
 from repro.experiments import FAST, ExperimentRunner
 from repro.runtime import ArtifactStore
 from repro.training import AdapterPipeline, FineTuneStrategy, TrainConfig
@@ -31,9 +31,10 @@ def tiny_config():
 
 
 JOBS = (
-    {"adapter": "pca", "strategy": FineTuneStrategy.ADAPTER_HEAD},
-    {"adapter": "none", "strategy": FineTuneStrategy.HEAD},
+    JobSpec("JapaneseVowels", "MOMENT", adapter="pca", strategy=FineTuneStrategy.ADAPTER_HEAD),
+    JobSpec("JapaneseVowels", "MOMENT", adapter="none", strategy=FineTuneStrategy.HEAD),
 )
+PCA_JOB = JOBS[0]
 
 
 class TestWarmDiskCache:
@@ -44,7 +45,7 @@ class TestWarmDiskCache:
     @pytest.fixture(scope="class")
     def cold(self, cache_dir):
         runner = ExperimentRunner(tiny_config(), cache_dir=str(cache_dir))
-        results = [runner.run("JapaneseVowels", "MOMENT", **job) for job in JOBS]
+        results = [runner.run_spec(job) for job in JOBS]
         return runner, results
 
     def test_cold_run_actually_trains(self, cold):
@@ -58,7 +59,7 @@ class TestWarmDiskCache:
         # Fresh runner + fresh store: only the disk tier is shared,
         # exactly the situation of a new process over a warm cache.
         fresh = ExperimentRunner(tiny_config(), cache_dir=str(cache_dir))
-        warm_results = [fresh.run("JapaneseVowels", "MOMENT", **job) for job in JOBS]
+        warm_results = [fresh.run_spec(job) for job in JOBS]
 
         # zero pretraining steps, zero frozen-encoder forward passes
         assert fresh.instrumentation.counter("pretrain_runs") == 0
@@ -76,25 +77,36 @@ class TestWarmDiskCache:
         _, cold_results = cold
         storeless = ExperimentRunner(tiny_config())  # memory-only store
         for job, cached in zip(JOBS, cold_results):
-            fresh = storeless.run("JapaneseVowels", "MOMENT", **job)
+            fresh = storeless.run_spec(job)
             assert fresh.accuracy == cached.accuracy
 
 
 class TestResultRoundTrip:
     def test_to_meta_from_meta_identity(self):
         runner = ExperimentRunner(tiny_config())
-        result = runner.run("JapaneseVowels", "MOMENT", adapter="pca")
+        result = runner.run_spec(PCA_JOB)
         clone = type(result).from_meta(result.to_meta())
         assert clone == result
 
     def test_com_job_round_trips(self):
         runner = ExperimentRunner(tiny_config())
-        result = runner.run(
-            "DuckDuckGeese", "MOMENT", adapter="none", strategy=FineTuneStrategy.FULL
+        result = runner.run_spec(
+            JobSpec("DuckDuckGeese", "MOMENT", adapter="none", strategy=FineTuneStrategy.FULL)
         )
         clone = type(result).from_meta(result.to_meta())
         assert clone == result
         assert clone.accuracy is None
+
+
+class TestDeprecatedKeywordShim:
+    def test_run_keywords_warn_and_return_the_run_spec_result(self):
+        runner = ExperimentRunner(tiny_config())
+        expected = runner.run_spec(PCA_JOB)
+        with pytest.warns(DeprecationWarning, match="pass a repro.exec.JobSpec"):
+            result = runner.run("JapaneseVowels", "MOMENT", adapter="pca")
+        # The shim builds the same spec, so it hits run_spec's result.
+        assert result is expected
+        assert runner.instrumentation.counter("fit_runs") == 1
 
 
 class TestKeyHygiene:
@@ -105,27 +117,27 @@ class TestKeyHygiene:
             tiny_config().with_(datasets=("JapaneseVowels", "DuckDuckGeese")),
             store=store,
         )
-        wide.run("JapaneseVowels", "MOMENT", adapter="pca")
+        wide.run_spec(PCA_JOB)
         narrow = ExperimentRunner(tiny_config(), store=store)
         hits_before = store.stats.hits
-        narrow.run("JapaneseVowels", "MOMENT", adapter="pca")
+        narrow.run_spec(PCA_JOB)
         assert store.stats.hits == hits_before + 1
         assert narrow.instrumentation.counter("fit_runs") == 0
 
     def test_training_knobs_do_invalidate_jobs(self):
         store = ArtifactStore()
         a = ExperimentRunner(tiny_config(), store=store)
-        a.run("JapaneseVowels", "MOMENT", adapter="pca")
+        a.run_spec(PCA_JOB)
         b = ExperimentRunner(tiny_config().with_(head_epochs=4), store=store)
-        b.run("JapaneseVowels", "MOMENT", adapter="pca")
+        b.run_spec(PCA_JOB)
         assert b.instrumentation.counter("fit_runs") == 1
 
     def test_seeds_do_not_share_store_entries(self):
         """Same data through two pretraining seeds: no cross-contamination."""
         store = ArtifactStore()
         runner = ExperimentRunner(tiny_config().with_(seeds=(0, 1)), store=store)
-        a = runner.run("JapaneseVowels", "MOMENT", adapter="pca", seed=0)
-        b = runner.run("JapaneseVowels", "MOMENT", adapter="pca", seed=1)
+        a = runner.run_spec(PCA_JOB)
+        b = runner.run_spec(PCA_JOB.replace(seed=1))
         assert runner.instrumentation.counter("pretrain_runs") == 2
         assert runner.instrumentation.counter("fit_runs") == 2
         assert a is not b

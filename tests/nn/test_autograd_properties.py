@@ -40,7 +40,7 @@ def matrix_pairs(draw):
     return a, b
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_arrays())
 def test_sum_grad_is_ones(data):
     t = Tensor(data, requires_grad=True)
@@ -48,7 +48,7 @@ def test_sum_grad_is_ones(data):
     np.testing.assert_array_equal(t.grad, np.ones_like(data))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_arrays())
 def test_mean_grad_is_uniform(data):
     t = Tensor(data, requires_grad=True)
@@ -56,7 +56,7 @@ def test_mean_grad_is_uniform(data):
     np.testing.assert_allclose(t.grad, np.full_like(data, 1.0 / data.size))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_arrays(), finite_floats)
 def test_scalar_mul_grad(data, scalar):
     t = Tensor(data, requires_grad=True)
@@ -64,7 +64,7 @@ def test_scalar_mul_grad(data, scalar):
     np.testing.assert_allclose(t.grad, np.full_like(data, scalar))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(matrix_pairs())
 def test_matmul_grad_matches_closed_form(pair):
     a_data, b_data = pair
@@ -76,7 +76,7 @@ def test_matmul_grad_matches_closed_form(pair):
     np.testing.assert_allclose(b.grad, a_data.T @ ones, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_arrays())
 def test_tanh_grad_identity(data):
     t = Tensor(data, requires_grad=True)
@@ -85,7 +85,7 @@ def test_tanh_grad_identity(data):
     np.testing.assert_allclose(t.grad, 1.0 - np.tanh(data) ** 2, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5), elements=finite_floats))
 def test_softmax_rows_on_simplex(data):
     out = F.softmax(Tensor(data), axis=-1).data
@@ -93,7 +93,7 @@ def test_softmax_rows_on_simplex(data):
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5), elements=finite_floats), finite_floats)
 def test_softmax_shift_invariance(data, shift):
     base = F.softmax(Tensor(data)).data
@@ -101,7 +101,7 @@ def test_softmax_shift_invariance(data, shift):
     np.testing.assert_allclose(base, shifted, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_arrays())
 def test_exp_log_round_trip_grad(data):
     """d/dx log(exp(x)) = 1 everywhere."""
@@ -110,7 +110,7 @@ def test_exp_log_round_trip_grad(data):
     np.testing.assert_allclose(t.grad, np.ones_like(data), atol=1e-8)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_arrays(min_dims=2, max_dims=2))
 def test_reshape_transpose_preserve_grad_sum(data):
     """Pure shape ops must route gradient mass unchanged."""
@@ -119,7 +119,7 @@ def test_reshape_transpose_preserve_grad_sum(data):
     np.testing.assert_array_equal(t.grad, np.ones_like(data))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(small_arrays(), small_arrays())
 def test_add_commutes(a_data, b_data):
     a, b = Tensor(a_data), Tensor(b_data)
@@ -130,7 +130,7 @@ def test_add_commutes(a_data, b_data):
     np.testing.assert_array_equal(left, (b + a).data)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 6)), elements=finite_floats))
 def test_cross_entropy_nonnegative(logits):
     targets = np.zeros(logits.shape[0], dtype=np.int64)

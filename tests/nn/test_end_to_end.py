@@ -9,7 +9,6 @@ dropout/eval interactions).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.nn import functional as F

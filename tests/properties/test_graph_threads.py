@@ -18,20 +18,23 @@ and no bucket may fall back to eager.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import build_model
-from repro.testing import given, integers
 
 T, D = 16, 2
 
 
-@pytest.fixture
+@contextlib.contextmanager
 def fast_switching():
+    """Switch threads every 10 us; as the innermost decorator of a
+    property it wraps each example, not the whole test."""
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -65,8 +68,10 @@ def _run_threads(*targets) -> list[Exception]:
     return errors
 
 
-@given(max_examples=2, seed=31, data_seed=integers(0, 2**16))
-def test_capture_ignores_other_threads(fast_switching, data_seed):
+@settings(max_examples=2)
+@given(data_seed=st.integers(0, 2**16))
+@fast_switching()
+def test_capture_ignores_other_threads(data_seed):
     """Capture 20 shape buckets on model A while another thread runs
     eager encodes on model B: A never falls back, and both threads'
     rows equal a serial run."""
@@ -101,8 +106,10 @@ def test_capture_ignores_other_threads(fast_switching, data_seed):
         np.testing.assert_array_equal(got, b_serial)
 
 
-@given(max_examples=2, seed=37, data_seed=integers(0, 2**16))
-def test_concurrent_replays_of_one_graph(fast_switching, data_seed):
+@settings(max_examples=2)
+@given(data_seed=st.integers(0, 2**16))
+@fast_switching()
+def test_concurrent_replays_of_one_graph(data_seed):
     """Two threads encode on one eval-mode model, 15 rounds x 6 inputs
     each, after its bucket was captured: every row equals a serial run."""
     rng = np.random.default_rng(data_seed)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adapters import make_adapter
 from repro.models import load_pretrained
 from repro.stream import StreamingClassifier
 from repro.stream.windows import window_batch, window_starts
-from repro.testing import given, integers, sampled_from
 from repro.training import AdapterPipeline, TrainConfig
 
 # Deliberately different: bits depend on the execution tile only.
@@ -73,44 +74,42 @@ def _stream_logits(pipeline, x, window, stride, compiled, chunk=1):
 
 
 class TestStreamOfflineParity:
-    def test_sample_at_a_time_matches_offline_compiled(self, pipelines):
-        @given(
-            max_examples=5,
-            channels=sampled_from((3, 6)),
-            window=integers(6, 14),
-            stride_raw=integers(1, 14),
-            extra=integers(0, 24),
-            data_seed=integers(0, 10_000),
-        )
-        def property_(channels, window, stride_raw, extra, data_seed):
-            stride = 1 + stride_raw % window
-            x = _series(data_seed, window + extra, channels)
-            pipeline = pipelines[channels]
-            offline = _offline_logits(pipeline, x, window, stride, compiled=True)
-            streamed = _stream_logits(pipeline, x, window, stride, compiled=True)
-            assert streamed.shape == offline.shape
-            np.testing.assert_array_equal(streamed, offline)
+    @settings(max_examples=5)
+    @given(
+        channels=st.sampled_from((3, 6)),
+        window=st.integers(6, 14),
+        stride_raw=st.integers(1, 14),
+        extra=st.integers(0, 24),
+        data_seed=st.integers(0, 10_000),
+    )
+    def test_sample_at_a_time_matches_offline_compiled(
+        self, pipelines, channels, window, stride_raw, extra, data_seed
+    ):
+        stride = 1 + stride_raw % window
+        x = _series(data_seed, window + extra, channels)
+        pipeline = pipelines[channels]
+        offline = _offline_logits(pipeline, x, window, stride, compiled=True)
+        streamed = _stream_logits(pipeline, x, window, stride, compiled=True)
+        assert streamed.shape == offline.shape
+        np.testing.assert_array_equal(streamed, offline)
 
-        property_()
-
-    def test_sample_at_a_time_matches_offline_eager(self, pipelines):
-        @given(
-            max_examples=3,
-            channels=sampled_from((3, 6)),
-            window=integers(6, 12),
-            stride_raw=integers(1, 12),
-            extra=integers(0, 16),
-            data_seed=integers(0, 10_000),
-        )
-        def property_(channels, window, stride_raw, extra, data_seed):
-            stride = 1 + stride_raw % window
-            x = _series(data_seed, window + extra, channels)
-            pipeline = pipelines[channels]
-            offline = _offline_logits(pipeline, x, window, stride, compiled=False)
-            streamed = _stream_logits(pipeline, x, window, stride, compiled=False)
-            np.testing.assert_array_equal(streamed, offline)
-
-        property_()
+    @settings(max_examples=3)
+    @given(
+        channels=st.sampled_from((3, 6)),
+        window=st.integers(6, 12),
+        stride_raw=st.integers(1, 12),
+        extra=st.integers(0, 16),
+        data_seed=st.integers(0, 10_000),
+    )
+    def test_sample_at_a_time_matches_offline_eager(
+        self, pipelines, channels, window, stride_raw, extra, data_seed
+    ):
+        stride = 1 + stride_raw % window
+        x = _series(data_seed, window + extra, channels)
+        pipeline = pipelines[channels]
+        offline = _offline_logits(pipeline, x, window, stride, compiled=False)
+        streamed = _stream_logits(pipeline, x, window, stride, compiled=False)
+        np.testing.assert_array_equal(streamed, offline)
 
     def test_eager_and_compiled_streams_agree(self, pipelines):
         x = _series(42, 40, 6)
@@ -120,26 +119,25 @@ class TestStreamOfflineParity:
 
 
 class TestChunkingInvariance:
-    def test_push_granularity_is_invisible(self, pipelines):
-        @given(
-            max_examples=4,
-            channels=sampled_from((3, 6)),
-            window=integers(6, 14),
-            stride_raw=integers(1, 14),
-            extra=integers(4, 24),
-            data_seed=integers(0, 10_000),
-        )
-        def property_(channels, window, stride_raw, extra, data_seed):
-            stride = 1 + stride_raw % window
-            x = _series(data_seed, window + extra, channels)
-            pipeline = pipelines[channels]
-            singles = _stream_logits(pipeline, x, window, stride, True, chunk=1)
-            sevens = _stream_logits(pipeline, x, window, stride, True, chunk=7)
-            whole = _stream_logits(pipeline, x, window, stride, True, chunk=None)
-            np.testing.assert_array_equal(singles, sevens)
-            np.testing.assert_array_equal(singles, whole)
-
-        property_()
+    @settings(max_examples=4)
+    @given(
+        channels=st.sampled_from((3, 6)),
+        window=st.integers(6, 14),
+        stride_raw=st.integers(1, 14),
+        extra=st.integers(4, 24),
+        data_seed=st.integers(0, 10_000),
+    )
+    def test_push_granularity_is_invisible(
+        self, pipelines, channels, window, stride_raw, extra, data_seed
+    ):
+        stride = 1 + stride_raw % window
+        x = _series(data_seed, window + extra, channels)
+        pipeline = pipelines[channels]
+        singles = _stream_logits(pipeline, x, window, stride, True, chunk=1)
+        sevens = _stream_logits(pipeline, x, window, stride, True, chunk=7)
+        whole = _stream_logits(pipeline, x, window, stride, True, chunk=None)
+        np.testing.assert_array_equal(singles, sevens)
+        np.testing.assert_array_equal(singles, whole)
 
     def test_emission_metadata_matches_geometry(self, pipelines):
         x = _series(7, 61, 3)

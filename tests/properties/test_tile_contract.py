@@ -15,13 +15,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adapters import make_adapter
 from repro.models import load_pretrained
 from repro.serve import PipelineRegistry, PipelineServer, ServeConfig
 from repro.stream import StreamingClassifier, encode_long
 from repro.stream.windows import window_batch, window_starts
-from repro.testing import given, integers, sampled_from
 from repro.training import AdapterPipeline, TrainConfig, compute_embeddings
 from repro.training.tiles import TILE_ROWS, map_tiles
 
@@ -75,21 +76,18 @@ class TestTileRunner:
 
 
 class TestOfflineBatchSize:
-    def test_logits_independent_of_batch_size(self, fitted):
+    @settings(max_examples=3)
+    @given(data_seed=st.integers(0, 10_000), n=st.integers(1, 23))
+    def test_logits_independent_of_batch_size(self, fitted, data_seed, n):
         pipeline = fitted[0]
-
-        @given(max_examples=3, data_seed=integers(0, 10_000), n=integers(1, 23))
-        def property_(data_seed, n):
-            x = _data(data_seed, n)
-            reference = pipeline.predict_logits(x, batch_size=BATCH_SIZES[0])
-            for batch_size in BATCH_SIZES[1:]:
-                np.testing.assert_array_equal(
-                    pipeline.predict_logits(x, batch_size=batch_size), reference
-                )
-            # A sample's logits do not depend on the rest of the call.
-            np.testing.assert_array_equal(pipeline.predict_logits(x[-1:]), reference[-1:])
-
-        property_()
+        x = _data(data_seed, n)
+        reference = pipeline.predict_logits(x, batch_size=BATCH_SIZES[0])
+        for batch_size in BATCH_SIZES[1:]:
+            np.testing.assert_array_equal(
+                pipeline.predict_logits(x, batch_size=batch_size), reference
+            )
+        # A sample's logits do not depend on the rest of the call.
+        np.testing.assert_array_equal(pipeline.predict_logits(x[-1:]), reference[-1:])
 
     def test_eager_matches_compiled(self, fitted):
         pipeline = fitted[0]
@@ -136,40 +134,38 @@ class TestServedWidth:
 
 
 class TestStreamWidth:
-    def test_stream_and_encode_long_rows_match_offline(self, fitted):
+    @settings(max_examples=3)
+    @given(
+        window=st.integers(8, 16),
+        stride=st.integers(2, 8),
+        stream_batch=st.sampled_from((1, 3, 16)),
+        batch_windows=st.sampled_from((1, 5, 16)),
+        data_seed=st.integers(0, 10_000),
+    )
+    def test_stream_and_encode_long_rows_match_offline(
+        self, fitted, window, stride, stream_batch, batch_windows, data_seed
+    ):
         pipeline = fitted[0]
+        series = np.random.default_rng(data_seed).normal(size=(window + 30, CHANNELS))
+        windows = window_batch(series, window_starts(len(series), window, stride), window)
 
-        @given(
-            max_examples=3,
-            window=integers(8, 16),
-            stride=integers(2, 8),
-            stream_batch=sampled_from((1, 3, 16)),
-            batch_windows=sampled_from((1, 5, 16)),
-            data_seed=integers(0, 10_000),
+        stream = StreamingClassifier(pipeline, window, stride, batch_size=stream_batch)
+        stream.push(series)
+        streamed = np.stack([p.logits for p in stream.emitted], axis=0)
+        np.testing.assert_array_equal(
+            streamed, pipeline.predict_logits(windows, batch_size=7)
         )
-        def property_(window, stride, stream_batch, batch_windows, data_seed):
-            series = np.random.default_rng(data_seed).normal(size=(window + 30, CHANNELS))
-            windows = window_batch(series, window_starts(len(series), window, stride), window)
 
-            stream = StreamingClassifier(pipeline, window, stride, batch_size=stream_batch)
-            stream.push(series)
-            streamed = np.stack([p.logits for p in stream.emitted], axis=0)
-            np.testing.assert_array_equal(
-                streamed, pipeline.predict_logits(windows, batch_size=7)
-            )
-
-            encoded = encode_long(
-                pipeline.model,
-                series,
-                window,
-                stride,
-                batch_windows=batch_windows,
-                transform=pipeline._reduce_tile,
-                return_windows=True,
-            ).window_embeddings
-            offline = compute_embeddings(pipeline.model, pipeline._reduce(windows))
-            np.testing.assert_array_equal(encoded, offline)
-            cached = np.stack([stream.cache.embedding(w) for w in windows], axis=0)
-            np.testing.assert_array_equal(cached, offline)
-
-        property_()
+        encoded = encode_long(
+            pipeline.model,
+            series,
+            window,
+            stride,
+            batch_windows=batch_windows,
+            transform=pipeline._reduce_tile,
+            return_windows=True,
+        ).window_embeddings
+        offline = compute_embeddings(pipeline.model, pipeline._reduce(windows))
+        np.testing.assert_array_equal(encoded, offline)
+        cached = np.stack([stream.cache.embedding(w) for w in windows], axis=0)
+        np.testing.assert_array_equal(cached, offline)
